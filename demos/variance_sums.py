@@ -6,8 +6,10 @@ modulus r <= X and accumulate r * sum_a (count_a - Z/r)^2, which is
 bounded by (N + X^2) * Z.  Then the specialization the parent censuses
 lean on: primes in (x, 2x] split along progressions p = -p1 (mod r)
 for window primes r, with deviations measured from Z/r and the total
-bounded by x^2 / log x.  Everything is exact rational arithmetic until
-the boxes get large, then compensated floats.
+bounded by x^2 / log x.  Each modulus r contributes an exact integer
+numerator over r^2, computed by one numpy integer kernel; the total is
+an exact rational up to x = 1000 and, beyond, a compensated float sum
+of the correctly rounded quotients.
 """
 
 from wdyn import (

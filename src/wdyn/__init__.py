@@ -34,11 +34,9 @@ from .parents import (
     window_primes,
 )
 from .primes import (
-    Factorization,
     PrimeTable,
     build_prime_table,
     factor_list,
-    factorize,
     largest_prime_factor,
     primes_in_range,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "CapExceededError",
     "CoverageError",
     "EmpiricalConstant",
-    "Factorization",
     "ParentCensus",
     "ParentQuery",
     "PrimeTable",
@@ -72,7 +69,6 @@ __all__ = [
     "census_c3",
     "classify",
     "factor_list",
-    "factorize",
     "find_b3_parents",
     "find_c3_parents",
     "find_parents",

@@ -15,11 +15,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 
-from .dynamics import CapExceeded, TripleClass, classify, trajectory
+from .dynamics import DEFAULT_CAP, TripleClass, classify, ind, trajectory
 from .errors import CacheError, CapExceededError, CoverageError
 from .parents import ParentQuery, census_b3, census_c3, find_parents
 from .primes import PrimeTable, build_prime_table
@@ -27,29 +26,7 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CAP = 10_000
 CENSUS_X_CAP_C3 = 3000  # triple censuses blow up cubically past this
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved settings for a grid experiment (census or variance)."""
-
-    x_grid: tuple[int, ...]
-    mode: str
-    workers: int = 1
-    cap: int = DEFAULT_CAP
-    cache_dir: str | None = None
-    output: str | None = None
-    format: str | None = None
-
-    def __post_init__(self):
-        if not self.x_grid or list(self.x_grid) != sorted(self.x_grid):
-            raise ValueError("x grid must be ascending")
-        if min(self.x_grid) < 10:
-            raise ValueError("every x in the grid must be >= 10")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,10 +111,7 @@ def cmd_traj(args) -> int:
 def cmd_ind(args) -> int:
     n = args.n
     table = _build(max(1000, isqrt(n) + 1), args)
-    traj = trajectory(table, n, cap=args.cap)
-    if isinstance(traj.terminal, CapExceeded):
-        raise CapExceededError(f"orbit of {n} did not reach 20 within cap {args.cap}", cap=args.cap)
-    print(f"ind({n}) = {traj.terminal.index}")
+    print(f"ind({n}) = {ind(table, n, cap=args.cap)}")
     return 0
 
 
@@ -175,19 +149,16 @@ def cmd_census(args) -> int:
                 f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP_C3} for triple "
                 f"censuses ({mode}); pass --allow-large to run anyway"
             )
-    config = ExperimentConfig(
-        x_grid=tuple(grid), mode=mode, workers=_workers(args),
-        cache_dir=_cache_dir(args), output=args.output, format=args.format,
-    )
-    table = _build(4 * max(config.x_grid) + 1, args)
+    workers = _workers(args)
+    table = _build(4 * max(grid) + 1, args)
     print(f"{'x':>8} {'target':>20} {'count':>7} {'bound':>16} {'ratio':>12}")
     censuses = []
-    for x in config.x_grid:
-        logger.info("census mode=%s x=%d workers=%d ...", mode, x, config.workers)
+    for x in grid:
+        logger.info("census mode=%s x=%d workers=%d ...", mode, x, workers)
         if mode == "thm3":
-            census = census_b3(table, x, workers=config.workers)
+            census = census_b3(table, x, workers=workers)
         else:
-            census = census_c3(table, x, mode=mode, workers=config.workers)
+            census = census_c3(table, x, mode=mode, workers=workers)
         censuses.append(census)
         const = census.constant()
         target, count = census.argmax
@@ -219,16 +190,12 @@ def cmd_lemma2(args) -> int:
 
 def cmd_lemma3(args) -> int:
     grid = args.x_grid if args.x_grid is not None else [1000, 10000, 100000]
-    config = ExperimentConfig(
-        x_grid=tuple(grid), mode=args.method,
-        cache_dir=_cache_dir(args), output=args.output, format=args.format,
-    )
-    table = _build(2 * max(config.x_grid), args)
+    table = _build(2 * max(grid), args)
     print(f"{'x':>8} {'lhs':>24} {'bound':>18} {'ratio':>12}")
     reports = []
-    for x in config.x_grid:
+    for x in grid:
         logger.info("progression variance x=%d ...", x)
-        report = prime_progression_variance(table, x, method=args.method)
+        report = prime_progression_variance(table, x)
         reports.append(report)
         print(f"{x:>8} {str(report.lhs):>24} {report.bound_value:>18.4f} {report.ratio:>12.6f}")
     payload = {"results": [r.to_json_dict() for r in reports]}
@@ -288,7 +255,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lemma3", parents=[common, output], help="prime progression variance over an x grid")
     p.add_argument("--x-grid", type=_grid, default=None)
-    p.add_argument("--method", choices=("auto", "exact", "float"), default="auto")
     p.set_defaults(func=cmd_lemma3)
 
     return parser

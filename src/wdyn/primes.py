@@ -5,9 +5,9 @@ queries primes through a :class:`PrimeTable`: a smallest-prime-factor
 sieve over ``[2, limit]`` plus the sorted prime list.  The table is
 immutable after construction and safe to share across worker processes.
 
-Supported universe: factorization queries work for ``n <= limit`` via
-the spf chain, and :func:`largest_prime_factor` additionally handles
-``limit < n <= limit**2`` by trial division over the table primes.
+Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
+walk the spf chain for ``n <= limit`` and trial-divide by the table
+primes for ``limit < n <= limit**2``.
 """
 
 from __future__ import annotations
@@ -54,29 +54,6 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ordered (prime, exponent) pairs."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        """Reconstructed integer: product of prime**exponent."""
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    @property
-    def big_omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
-
-    def primes_with_multiplicity(self) -> list[int]:
-        return [p for p, e in self.factors for _ in range(e)]
 
 
 def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +175,17 @@ def _lpf_in_table(table: PrimeTable, n: int) -> int:
     return p
 
 
+def _factors_in_table(table: PrimeTable, n: int) -> list[int]:
+    """Prime factors with multiplicity via the spf chain; requires 2 <= n <= limit."""
+    spf = table.spf
+    out: list[int] = []
+    while n > 1:
+        p = int(spf[n])
+        out.append(p)
+        n //= p
+    return out
+
+
 def _trial_primes(table: PrimeTable, n: int) -> tuple[list[int], bool]:
     """Table primes up to sqrt(n), plus whether that range is fully
     covered (when it is, trial division certifies the leftover cofactor
@@ -241,38 +229,16 @@ def largest_prime_factor(table: PrimeTable, n: int) -> int:
     )
 
 
-def factorize(table: PrimeTable, n: int) -> Factorization:
-    """Complete factorization of n via the spf chain; requires n <= limit."""
-    if n < 2:
-        raise ValueError(f"factorize requires n >= 2, got {n}")
-    if n > table.limit:
-        raise CoverageError(
-            f"factorize({n}) exceeds table limit {table.limit}",
-            required_limit=n,
-        )
-    spf = table.spf
-    pairs: list[tuple[int, int]] = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs.append((p, e))
-    return Factorization(factors=tuple(pairs))
-
-
 def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending.
 
-    Unlike :func:`factorize` this also accepts limit < n <= limit**2
-    (trial division by table primes), the same reach as
-    :func:`largest_prime_factor`.
+    n <= limit walks the spf chain; limit < n <= limit**2 trial-divides
+    by the table primes, the same reach as :func:`largest_prime_factor`.
     """
     if n < 2:
         raise ValueError(f"factorization requires n >= 2, got {n}")
     if n <= table.limit:
-        return factorize(table, n).primes_with_multiplicity()
+        return _factors_in_table(table, n)
     trial, certified = _trial_primes(table, n)
     out: list[int] = []
     m = n
@@ -284,7 +250,7 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
             out.append(p)
             m //= p
         if 1 < m <= table.limit:
-            out.extend(factorize(table, m).primes_with_multiplicity())
+            out.extend(_factors_in_table(table, m))
             return out
     if m > 1:
         if not certified:

@@ -8,6 +8,7 @@ quantity here is deterministic, so later runs must stay inside them.
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from wdyn import (
     SequenceSample,
@@ -206,7 +207,7 @@ def test_c6_progression_variance(table_200k):
     """Exact oracle match at x in {100, 300}; ratios at {10^3, 10^4,
     10^5} below the recorded ceiling."""
     for x in (100, 300):
-        report = prime_progression_variance(table_200k, x, method="exact")
+        report = prime_progression_variance(table_200k, x)
         assert report.lhs == oracle.progression_variance(table_200k, x), x
         assert isinstance(report.lhs, Fraction)
     ratios = []
@@ -245,10 +246,10 @@ def test_c9_prime_engine(table_10k, table_1m):
     assert len(table_10k) == len(naive_sieve(10_000)) == 1229
     assert len(table_1m) == len(naive_sieve(1_000_000)) == 78_498
 
-    from wdyn import factorize, largest_prime_factor
+    from wdyn import factor_list, largest_prime_factor
 
     for n in range(2, 100_001):
-        fac = factorize(table_1m, n)
-        assert fac.n == n
-        assert largest_prime_factor(table_1m, n) == fac.factors[-1][0]
+        factors = factor_list(table_1m, n)
+        assert prod(factors) == n
+        assert largest_prime_factor(table_1m, n) == factors[-1]
     _report("C9 prime engine", "(pi(1e4)=1229, pi(1e6)=78498, reconstruction to 1e5)")

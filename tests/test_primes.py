@@ -1,5 +1,7 @@
 """Prime engine tests, checked against independent naive oracles."""
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from wdyn import (
     CoverageError,
     build_prime_table,
     factor_list,
-    factorize,
     largest_prime_factor,
     primes_in_range,
 )
@@ -107,9 +108,9 @@ def test_largest_prime_factor_domain_error(table_10k, bad):
 
 def test_lpf_equals_max_factor_exhaustive(table_10k):
     for n in range(2, 10_001):
-        fac = factorize(table_10k, n)
-        assert largest_prime_factor(table_10k, n) == fac.factors[-1][0]
-        assert fac.n == n
+        factors = factor_list(table_10k, n)
+        assert largest_prime_factor(table_10k, n) == factors[-1]
+        assert prod(factors) == n
 
 
 # supported universe is n <= limit**2, so the 40001 table covers 10**9
@@ -129,18 +130,20 @@ def test_lpf_beyond_certification_reach():
 
 
 def test_factorize_examples(table_10k):
-    assert factorize(table_10k, 20).factors == ((2, 2), (5, 1))
-    assert factorize(table_10k, 30).factors == ((2, 1), (3, 1), (5, 1))
-    assert factorize(table_10k, 97).factors == ((97, 1),)
-    assert factorize(table_10k, 97).big_omega == 1
-    assert factorize(table_10k, 20).big_omega == 3
+    assert factor_list(table_10k, 20) == [2, 2, 5]
+    assert factor_list(table_10k, 30) == [2, 3, 5]
+    assert factor_list(table_10k, 97) == [97]
+    assert len(factor_list(table_10k, 97)) == 1  # big omega
+    assert len(factor_list(table_10k, 20)) == 3
 
 
 def test_factorize_out_of_range(table_10k):
-    with pytest.raises(CoverageError):
-        factorize(table_10k, 10_001)
     with pytest.raises(ValueError):
-        factorize(table_10k, 1)
+        factor_list(table_10k, 1)
+    # 169 = 13**2 lies past limit**2 reach of a limit-10 table
+    with pytest.raises(CoverageError) as err:
+        factor_list(build_prime_table(10), 169)
+    assert err.value.required_limit == 14
 
 
 def test_cache_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ direct-summation oracles in exact rationals."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,10 @@ from wdyn import (
     primes_in_range,
     residue_count_variance,
     residue_counts,
+    window_bounds,
 )
 from wdyn import oracle
-from wdyn.variance import _progression_deviation_sum
+from wdyn.variance import EXACT_X_CUTOFF, _progression_numerators
 
 samples = st.builds(
     lambda vals: SequenceSample.from_values(sorted(vals), bound=200),
@@ -111,8 +113,21 @@ def test_variance_cutoff_validation():
         residue_count_variance(SequenceSample.from_values([1]), 1)
 
 
+def numerators_by_loop(ps: list[int], rs: list[int]) -> list[int]:
+    """num_r = sum over classes b of w_b * (r * c_b - Z)**2 in Python ints,
+    with c_b counting ps in class b mod r and w_b those in class -b."""
+    z = len(ps)
+    out = []
+    for r in rs:
+        counts = [0] * r
+        for p in ps:
+            counts[p % r] += 1
+        out.append(sum(counts[-b % r] * (r * counts[b] - z) ** 2 for b in range(r)))
+    return out
+
+
 def test_progression_variance_matches_oracle_x100(table_x300):
-    report = prime_progression_variance(table_x300, 100, method="exact")
+    report = prime_progression_variance(table_x300, 100)
     assert report.lhs == oracle.progression_variance(table_x300, 100)
     assert isinstance(report.lhs, Fraction)
     assert report.window == (46, 92)
@@ -121,35 +136,52 @@ def test_progression_variance_matches_oracle_x100(table_x300):
 
 def test_progression_variance_empty_window(table_x300):
     ps = primes_in_range(table_x300, 100, 200)
-    assert _progression_deviation_sum(ps, [], exact=True) == 0
-    assert _progression_deviation_sum(ps, [], exact=False) == 0.0
+    assert _progression_numerators(ps, []) == []
 
 
 def test_progression_variance_float_agrees_with_exact(table_200k):
-    exact = prime_progression_variance(table_200k, 1000, method="exact")
-    fl = prime_progression_variance(table_200k, 1000, method="float")
-    assert isinstance(fl.lhs, float)
-    assert float(exact.lhs) == pytest.approx(fl.lhs, rel=1e-12)
-    auto = prime_progression_variance(table_200k, 1000)  # auto = exact here
-    assert auto.lhs == exact.lhs
+    x = 1200
+    assert x > EXACT_X_CUTOFF
+    report = prime_progression_variance(table_200k, x)
+    assert isinstance(report.lhs, float)
+    exact = oracle.progression_variance(table_200k, x)
+    assert report.lhs == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_progression_variance_auto_switches_to_float(table_200k):
     report = prime_progression_variance(table_200k, 10_000)
     assert isinstance(report.lhs, float)
+    report = prime_progression_variance(table_200k, EXACT_X_CUTOFF)
+    assert isinstance(report.lhs, Fraction)
+
+
+def test_progression_numerators_int64_match_python_ints(table_200k):
+    x = 30_000
+    r_lo, r_hi = window_bounds(x)
+    rs = primes_in_range(table_200k, r_lo, r_hi).tolist()
+    ps = primes_in_range(table_200k, x, 2 * x)
+    z = ps.size
+    assert z * (max(rs) * z) ** 2 < 2**63  # every r stays on the int64 path
+    assert _progression_numerators(ps, rs) == numerators_by_loop(ps.tolist(), rs)
+
+
+def test_progression_numerators_fall_back_to_python_ints():
+    # all of ps in class 0 mod 1009: num_1009 = Z * (1008 * Z)**2 > 2**63
+    ps = 1009 * np.arange(1, 30_001, dtype=np.int64)
+    nums = _progression_numerators(ps, [3, 1009])
+    assert nums == numerators_by_loop(ps.tolist(), [3, 1009])
+    assert nums[1] >= 2**63
 
 
 def test_progression_variance_validation(table_x300):
     with pytest.raises(ValueError):
         prime_progression_variance(table_x300, 5)
-    with pytest.raises(ValueError):
-        prime_progression_variance(table_x300, 100, method="fast")
     with pytest.raises(CoverageError):
         prime_progression_variance(table_x300, 1000)
 
 
 def test_variance_report_json_and_csv(table_x300):
-    report = prime_progression_variance(table_x300, 100, method="exact")
+    report = prime_progression_variance(table_x300, 100)
     d = report.to_json_dict()
     assert set(d) == {"x_or_X", "lhs", "bound", "ratio", "window"}
     assert isinstance(d["lhs"], str) and "/" in d["lhs"]  # exact rational string
