@@ -3,8 +3,8 @@ and variance tables.
 
 Exit codes: 0 success, 1 domain/usage error, 2 cap or table limit
 exceeded, 3 I/O or cache error.  Configuration precedence is CLI flag,
-then environment (WDYN_CACHE_DIR, WDYN_WORKERS), then default.  All
-reports are deterministic for fixed inputs and any worker count.
+then environment (WDYN_CACHE_DIR), then default.  All reports are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("WDYN_CACHE_DIR") or None
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("WDYN_WORKERS")
-    return max(1, int(env)) if env else 1
 
 
 def _grid(text: str) -> list[int]:
@@ -149,16 +142,15 @@ def cmd_census(args) -> int:
                 f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP_C3} for triple "
                 f"censuses ({mode}); pass --allow-large to run anyway"
             )
-    workers = _workers(args)
     table = _build(4 * max(grid) + 1, args)
     print(f"{'x':>8} {'target':>20} {'count':>7} {'bound':>16} {'ratio':>12}")
     censuses = []
     for x in grid:
-        logger.info("census mode=%s x=%d workers=%d ...", mode, x, workers)
+        logger.info("census mode=%s x=%d ...", mode, x)
         if mode == "thm3":
-            census = census_b3(table, x, workers=workers)
+            census = census_b3(table, x)
         else:
-            census = census_c3(table, x, mode=mode, workers=workers)
+            census = census_c3(table, x, mode=mode)
         censuses.append(census)
         const = census.constant()
         target, count = census.argmax
@@ -243,7 +235,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", parents=[common, output], help="parent census over an x grid")
     p.add_argument("--mode", choices=("thm1", "thm2", "thm3"), required=True)
     p.add_argument("--x-grid", type=_grid, default=None, help="comma-separated ascending x values")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers (or WDYN_WORKERS)")
     p.add_argument("--allow-large", action="store_true", help="lift the x cap on triple censuses")
     p.set_defaults(func=cmd_census)
 

@@ -13,22 +13,24 @@ results are exact at any scale.
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the canonical sorted-prime form of
-the image; argmax ties break toward the smallest image.  Enumeration
-is data-parallel over the first prime with a commutative tally merge,
-so reports are identical for any worker count.
+the image; argmax ties break toward the smallest image.  Censuses
+visit every pair, so they skip the congruence route: they read one P
+array over [0, 4x] and process one pivot prime's row of pair sums at a
+time with numpy.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import log, sqrt
 
+import numpy as np
+
 from .dynamics import Triple, TripleClass
 from .errors import CoverageError
-from .primes import PrimeTable, largest_prime_factor, primes_in_range
+from .primes import PrimeTable, largest_prime_factor, largest_prime_factors, primes_in_range
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -229,115 +231,103 @@ class ParentCensus:
         return sorted(self.tallies.items())
 
 
-def _split(items: list, pieces: int) -> list[list]:
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    chunks, pos = [], 0
-    for i in range(pieces):
-        end = pos + size + (1 if i < extra else 0)
-        chunks.append(items[pos:end])
-        pos = end
-    return chunks
+_TALLY_BUFFER = 1 << 18  # records buffered before the first merge
 
 
-def _map_chunks(fn, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+class _ImageTally:
+    """Running tally of census records.  Records fill one preallocated
+    buffer, merged into the sorted tally whenever it is full, so memory
+    stays O(row + tally) however many parents a census finds, and no
+    trail of small per-row arrays is left behind on the heap."""
+
+    def __init__(self, collect_parents: bool):
+        self.images = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
+        self.factors = np.empty((0, 3), dtype=np.uint32)  # primes <= 4x <= table limit < 2**32
+        self._new_buffer(_TALLY_BUFFER)
+        self.parents: list[tuple[np.ndarray, np.ndarray]] | None = [] if collect_parents else None
+
+    def _new_buffer(self, size: int) -> None:
+        self.buf_images = np.empty(size, dtype=np.int64)
+        self.buf_factors = np.empty((size, 3), dtype=np.uint32)
+        self.used = 0
+
+    def add(self, images: np.ndarray, factors: list[np.ndarray], parents: list[np.ndarray]) -> None:
+        """One record per image; ``factors`` and ``parents`` are three
+        columns each, sorted here into canonical triples."""
+        if self.used + len(images) > len(self.buf_images):
+            self._merge()
+            # a buffer as large as the tally keeps the amortized merge cost per record O(log)
+            if max(len(self.images), len(images)) > len(self.buf_images):
+                self._new_buffer(max(len(self.images), len(images)))
+        end = self.used + len(images)
+        self.buf_images[self.used : end] = images
+        self.buf_factors[self.used : end] = np.sort(np.column_stack(factors), axis=1)
+        self.used = end
+        if self.parents is not None:
+            self.parents.append((images, np.sort(np.column_stack(parents), axis=1)))
+
+    def _merge(self) -> None:
+        n, self.used = self.used, 0
+        images = np.concatenate([self.images, self.buf_images[:n]])
+        counts = np.concatenate([self.counts, np.ones(n, dtype=np.int64)])
+        factors = np.concatenate([self.factors, self.buf_factors[:n]])
+        order = np.argsort(images)  # any record of an image will do: its factors are unique
+        images, counts, factors = images[order], counts[order], factors[order]
+        first = np.flatnonzero(np.diff(images, prepend=-1))  # images are positive
+        self.images, self.factors = images[first], factors[first]
+        self.counts = np.add.reduceat(counts, first)
+
+    def census(self, x: int, mode: str, parent_class: str) -> ParentCensus:
+        """The finished census; the tally's arrays are released as its
+        dicts are built, to keep the peak low."""
+        self._merge()
+        self.buf_images = self.buf_factors = None
+        images = self.images.tolist()
+        tallies = dict(zip(images, self.counts.tolist()))
+        # one shared int object per prime value, not three fresh ints per tuple
+        values = np.arange(self.factors.max(initial=0) + 1).astype(object)
+        columns = [values[col].tolist() for col in self.factors.T]
+        self.images = self.counts = self.factors = None
+        target_factors = dict(zip(images, zip(*columns)))
+        parents = None
+        if self.parents is not None:
+            parents = {}
+            records = (
+                (n, tuple(t)) for im, trips in self.parents for n, t in zip(im.tolist(), trips.tolist())
+            )
+            for n, trip in sorted(records):
+                parents.setdefault(n, []).append(trip)
+        r_lo, r_hi = window_bounds(x)
+        return ParentCensus(
+            x=x,
+            mode=mode,
+            r_lo=r_lo,
+            r_hi=r_hi,
+            parent_class=parent_class,
+            tallies=tallies,
+            target_factors=target_factors,
+            parents=parents,
+        )
 
 
-def _census_c3_chunk(args) -> tuple[dict, dict, dict | None]:
-    table, x, mode, pivots, collect = args
+def _census_setup(table: PrimeTable, x: int, what: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Box primes (x, 2x], the P array over [0, 4x] (every pair sum
+    lies in (2x, 4x]) and the window bounds of a census."""
+    if x < 10:
+        raise ValueError(f"censuses require x >= 10, got {x}")
     r_lo, r_hi = window_bounds(x)
-    wlist = primes_in_range(table, r_lo, r_hi).tolist()
-    wset = set(wlist)
-    isp = table.is_prime.tobytes()
-    two_x = 2 * x
-    tally: dict[int, int] = {}
-    factors: dict[int, tuple[int, int, int]] = {}
-    parents: dict[int, list] | None = defaultdict(list) if collect else None
-
-    def record(n: int, trip: tuple[int, int, int], facs: tuple[int, int, int]) -> None:
-        tally[n] = tally.get(n, 0) + 1
-        if n not in factors:
-            factors[n] = facs
-        if parents is not None:
-            parents[n].append(trip)
-
-    for p1 in pivots:
-        by_r: dict[int, list[int]] = {}
-        for r in wlist:
-            lst = [
-                p
-                for p in _progression(x, two_x, -p1 % r, r)
-                if p != p1 and isp[p] and lpf_equals(table, p + p1, r)
-            ]
-            if lst:
-                by_r[r] = lst
-        if mode == "thm1":
-            rs = list(by_r)
-            for i in range(len(rs)):
-                r1 = rs[i]
-                for j in range(i + 1, len(rs)):
-                    r2 = rs[j]
-                    for p2 in by_r[r1]:
-                        for p3 in by_r[r2]:
-                            q = largest_prime_factor(table, p2 + p3)
-                            if q == r1 or q == r2:
-                                continue  # image leaves C3
-                            if q in wset and p1 > min(p2, p3):
-                                continue  # all three pivots qualify; count at the smallest
-                            record(
-                                r1 * r2 * q,
-                                tuple(sorted((p1, p2, p3))),
-                                tuple(sorted((r1, r2, q))),
-                            )
-        else:  # thm2: both designated sums share one window prime r
-            for r, lst in by_r.items():
-                for i in range(len(lst)):
-                    for j in range(i + 1, len(lst)):
-                        p2, p3 = lst[i], lst[j]
-                        q = largest_prime_factor(table, p2 + p3)
-                        if q == r:
-                            continue  # image would be a prime cube; unreachable from A3
-                        # p1 is the only qualifying designated prime (q != r),
-                        # so no cross-pivot dedup is needed.
-                        record(
-                            q * r * r,
-                            tuple(sorted((p1, p2, p3))),
-                            tuple(sorted((q, r, r))),
-                        )
-    return tally, factors, parents
-
-
-def _census_b3_chunk(args) -> tuple[dict, dict | None]:
-    table, x, qs, collect = args
-    r_lo, r_hi = window_bounds(x)
-    wlist = primes_in_range(table, r_lo, r_hi).tolist()
-    isp = table.is_prime.tobytes()
-    two_x = 2 * x
-    tally: dict[tuple[int, int], int] = {}
-    parents: dict[tuple[int, int], list] | None = defaultdict(list) if collect else None
-    for q in qs:
-        for r in wlist:
-            found = [
-                p
-                for p in _progression(x, two_x, -q % r, r)
-                if p != q and isp[p] and lpf_equals(table, p + q, r)
-            ]
-            if found:
-                tally[(q, r)] = len(found)
-                if parents is not None:
-                    parents[(q, r)].extend(found)
-    return tally, parents
+    # images r1*r2*q and q*r**2 are at most r_hi**2 * 4x and are formed in int64
+    if r_hi * r_hi * 4 * x >= 2**63:
+        raise ValueError(f"census images at x={x} would overflow int64")
+    _require_coverage(table, 4 * x, what)
+    return primes_in_range(table, x, 2 * x), largest_prime_factors(table, 4 * x), r_lo, r_hi
 
 
 def census_c3(
     table: PrimeTable,
     x: int,
     mode: str = "thm1",
-    workers: int = 1,
     collect_parents: bool = False,
 ) -> ParentCensus:
     """Census of C3 parents over the box (x, 2x].
@@ -352,47 +342,35 @@ def census_c3(
       prime r), giving images of the form q*r**2.
 
     Each qualifying triple is counted exactly once regardless of how
-    many designated primes qualify and of the worker count.
+    many designated primes qualify.
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
-    if x < 10:
-        raise ValueError(f"censuses require x >= 10, got {x}")
-    _require_coverage(table, 4 * x, f"census_c3(x={x})")
-    pivots = primes_in_range(table, x, 2 * x).tolist()
-    chunk_args = [(table, x, mode, chunk, collect_parents) for chunk in _split(pivots, workers)]
-    results = _map_chunks(_census_c3_chunk, chunk_args, workers)
-
-    tallies: dict[int, int] = {}
-    factors: dict[int, tuple[int, int, int]] = {}
-    parents: dict[int, list] | None = {} if collect_parents else None
-    for tally, facs, pars in results:
-        for n, c in tally.items():
-            tallies[n] = tallies.get(n, 0) + c
-        factors.update(facs)
-        if parents is not None and pars:
-            for n, trips in pars.items():
-                parents.setdefault(n, []).extend(trips)
-    if parents is not None:
-        parents = {n: sorted(trips) for n, trips in parents.items()}
-
-    r_lo, r_hi = window_bounds(x)
-    return ParentCensus(
-        x=x,
-        mode=mode,
-        r_lo=r_lo,
-        r_hi=r_hi,
-        parent_class="c3",
-        tallies=tallies,
-        target_factors=factors,
-        parents=parents,
-    )
+    ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_c3(x={x})")
+    tally = _ImageTally(collect_parents)
+    for i, p1 in enumerate(ps.tolist()):
+        row = lpf[p1 + ps]
+        row[i] = 0  # p1 is not its own partner
+        hit = np.flatnonzero((row > r_lo) & (row <= r_hi))
+        rs, others = row[hit], ps[hit]
+        a, b = np.triu_indices(len(hit), 1)  # a < b, so others[a] < others[b]
+        same = rs[a] == rs[b]
+        keep = same if mode == "thm2" else ~same
+        r1, r2, p2, p3 = rs[a[keep]], rs[b[keep]], others[a[keep]], others[b[keep]]
+        q = lpf[p2 + p3]
+        ok = (q != r1) & (q != r2)  # else the image leaves C3 (thm1) or is a prime cube (thm2)
+        if mode == "thm1":
+            # q in the window makes all three primes designated; count at the smallest.
+            # thm2 needs no such rule: q != r leaves p1 the only designated prime.
+            ok &= ~((q > r_lo) & (q <= r_hi) & (p2 < p1))
+        r1, r2, q, p2, p3 = r1[ok], r2[ok], q[ok], p2[ok], p3[ok]
+        tally.add(r1 * r2 * q, [r1, r2, q], [np.full(len(q), p1), p2, p3])
+    return tally.census(x, mode, "c3")
 
 
 def census_b3(
     table: PrimeTable,
     x: int,
-    workers: int = 1,
     collect_parents: bool = False,
 ) -> ParentCensus:
     """Census of B3 parents p*q**2 over the box (x, 2x] (mode "thm3").
@@ -401,38 +379,15 @@ def census_b3(
     P(p + q) = r in the window, the parent p*q**2 of the image q*r**2
     is tallied under that image.
     """
-    if x < 10:
-        raise ValueError(f"censuses require x >= 10, got {x}")
-    _require_coverage(table, 4 * x, f"census_b3(x={x})")
-    qs = primes_in_range(table, x, 2 * x).tolist()
-    chunk_args = [(table, x, chunk, collect_parents) for chunk in _split(qs, workers)]
-    results = _map_chunks(_census_b3_chunk, chunk_args, workers)
-
-    tallies: dict[int, int] = {}
-    factors: dict[int, tuple[int, int, int]] = {}
-    parents: dict[int, list] | None = {} if collect_parents else None
-    for tally, pars in results:
-        for (q, r), c in tally.items():
-            n = q * r * r
-            tallies[n] = tallies.get(n, 0) + c
-            factors[n] = tuple(sorted((q, r, r)))
-            if parents is not None:
-                plist = parents.setdefault(n, [])
-                plist.extend(tuple(sorted((p, q, q))) for p in pars[(q, r)])
-    if parents is not None:
-        parents = {n: sorted(trips) for n, trips in parents.items()}
-
-    r_lo, r_hi = window_bounds(x)
-    return ParentCensus(
-        x=x,
-        mode="thm3",
-        r_lo=r_lo,
-        r_hi=r_hi,
-        parent_class="b3",
-        tallies=tallies,
-        target_factors=factors,
-        parents=parents,
-    )
+    ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_b3(x={x})")
+    tally = _ImageTally(collect_parents)
+    for i, q in enumerate(ps.tolist()):
+        row = lpf[q + ps]
+        row[i] = 0  # p != q
+        hit = np.flatnonzero((row > r_lo) & (row <= r_hi))
+        r, p, qs = row[hit], ps[hit], np.full(len(hit), q)
+        tally.add(qs * r * r, [qs, r, r], [p, qs, qs])
+    return tally.census(x, "thm3", "b3")
 
 
 @dataclass(frozen=True)

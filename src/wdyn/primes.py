@@ -3,17 +3,21 @@
 Everything downstream (orbit iteration, parent searches, variance sums)
 queries primes through a :class:`PrimeTable`: a smallest-prime-factor
 sieve over ``[2, limit]`` plus the sorted prime list.  The table is
-immutable after construction and safe to share across worker processes.
+immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 walk the spf chain for ``n <= limit`` and trial-divide by the table
-primes for ``limit < n <= limit**2``.
+primes for ``limit < n <= limit**2``.  :func:`largest_prime_factors`
+derives the whole P array over ``[0, n]``, ``n <= limit``, for the
+censuses.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+import uuid
+import zlib
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -25,7 +29,8 @@ from .errors import CacheError, CoverageError
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"WDYNSIEV"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the payload
 
 
 @dataclass(frozen=True)
@@ -111,14 +116,21 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
 
 def _save_table(table: PrimeTable, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = struct.pack("<8sIQ", CACHE_MAGIC, CACHE_VERSION, table.limit)
-    bits = np.packbits(table.is_prime.view(np.uint8), bitorder="little")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(bits.tobytes())
-        fh.write(table.spf.astype("<u4").tobytes())
-    tmp.replace(path)
+    bits = np.packbits(table.is_prime.view(np.uint8), bitorder="little").tobytes()
+    spf = table.spf.astype("<u4").tobytes()
+    crc = zlib.crc32(spf, zlib.crc32(bits))
+    header = struct.pack(CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, table.limit, crc)
+    # a name of its own per writer, so concurrent builds never share a temp file
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            fh.write(bits)
+            fh.write(spf)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_table(path: Path, limit: int) -> PrimeTable:
@@ -126,10 +138,10 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
         raw = path.read_bytes()
     except OSError as exc:
         raise CacheError(str(exc)) from exc
-    head = struct.calcsize("<8sIQ")
+    head = struct.calcsize(CACHE_HEADER)
     if len(raw) < head:
         raise CacheError("truncated header")
-    magic, version, stored_limit = struct.unpack_from("<8sIQ", raw)
+    magic, version, stored_limit, crc = struct.unpack_from(CACHE_HEADER, raw)
     if magic != CACHE_MAGIC:
         raise CacheError("bad magic")
     if version != CACHE_VERSION:
@@ -140,6 +152,8 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     expected = head + nbits + 4 * (limit + 1)
     if len(raw) != expected:
         raise CacheError(f"payload size {len(raw)} != expected {expected}")
+    if zlib.crc32(memoryview(raw)[head:]) != crc:
+        raise CacheError("payload checksum mismatch")
     bits = np.frombuffer(raw, dtype=np.uint8, count=nbits, offset=head)
     is_prime = np.unpackbits(bits, count=limit + 1, bitorder="little").astype(bool)
     spf = np.frombuffer(raw, dtype="<u4", offset=head + nbits).astype(np.uint32)
@@ -165,16 +179,6 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     return table.primes[left:right]
 
 
-def _lpf_in_table(table: PrimeTable, n: int) -> int:
-    """Largest prime factor via the spf chain; requires 2 <= n <= limit."""
-    spf = table.spf
-    p = 0
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-    return p
-
-
 def _factors_in_table(table: PrimeTable, n: int) -> list[int]:
     """Prime factors with multiplicity via the spf chain; requires 2 <= n <= limit."""
     spf = table.spf
@@ -196,44 +200,40 @@ def _trial_primes(table: PrimeTable, n: int) -> tuple[list[int], bool]:
 
 
 def largest_prime_factor(table: PrimeTable, n: int) -> int:
-    """Largest prime factor P(n) of an integer n > 1.
-
-    For ``n <= table.limit`` this walks the spf chain; for larger n it
-    trial-divides by the table primes up to sqrt(n), so n up to
-    ``table.limit**2`` is supported.
-    """
+    """Largest prime factor P(n) of an integer n > 1, with the reach of
+    :func:`factor_list` (n up to ``table.limit**2``)."""
     if n < 2:
         raise ValueError(f"P(n) requires n > 1, got {n}")
-    if n <= table.limit:
-        return _lpf_in_table(table, n)
-    trial, certified = _trial_primes(table, n)
-    best = 1
-    m = n
-    for p in trial:
-        if p * p > m:
-            certified = True
-            break
-        if m % p == 0:
-            best = p
-            while m % p == 0:
-                m //= p
-            if m <= table.limit:
-                return max(best, _lpf_in_table(table, m)) if m > 1 else best
-    if m == 1:
-        return best
-    if certified:
-        return m  # remaining cofactor is prime
-    raise CoverageError(
-        f"P({n}) needs table primes up to sqrt(n); rebuild with limit >= {isqrt(n) + 1}",
-        required_limit=isqrt(n) + 1,
-    )
+    return factor_list(table, n)[-1]
+
+
+def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
+    """int64 array of P(k) for k in [0, n] (entries 0 and 1 are sentinels).
+
+    Derived from the spf array in blocks [2**j, 2**(j+1)):
+    P(k) = max(spf(k), P(k // spf(k))), and k // spf(k) <= k // 2 lies
+    in a block already done.
+    """
+    if n > table.limit:
+        raise CoverageError(
+            f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}",
+            required_limit=n,
+        )
+    lpf = table.spf[: n + 1].astype(np.int64)
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        block = lpf[lo:hi]
+        np.maximum(block, lpf[np.arange(lo, hi) // block], out=block)
+        lo = hi
+    return lpf
 
 
 def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending.
 
     n <= limit walks the spf chain; limit < n <= limit**2 trial-divides
-    by the table primes, the same reach as :func:`largest_prime_factor`.
+    by the table primes.
     """
     if n < 2:
         raise ValueError(f"factorization requires n >= 2, got {n}")

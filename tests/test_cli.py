@@ -129,18 +129,12 @@ def test_golden_reports(capsys, tmp_path, golden, argv):
     assert out_path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_census_byte_identical_across_workers(capsys, tmp_path):
-    payloads = {}
-    for workers in (1, 2):
-        out_path = tmp_path / f"census-{workers}.json"
-        code, _, _ = run(
-            capsys,
-            "census", "--mode", "thm3", "--x-grid", "100,300",
-            "--workers", str(workers), "--output", str(out_path),
-        )
-        assert code == 0
-        payloads[workers] = out_path.read_bytes()
-    assert payloads[1] == payloads[2]
+def test_census_rejects_workers_option(capsys):
+    # censuses run in one process; the old --workers option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--mode", "thm3", "--x-grid", "100", "--workers", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_census_stdout_table_shape(capsys):
@@ -223,18 +217,6 @@ def test_cache_dir_flag_beats_env(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "sieve", "--limit", "500")
     assert code == 0
     assert (env_dir / "sieve-500.wdynsieve").exists()
-
-
-def test_workers_env_var(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("WDYN_WORKERS", "2")
-    out_env = tmp_path / "env.json"
-    code, _, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100", "--output", str(out_env))
-    assert code == 0
-    monkeypatch.delenv("WDYN_WORKERS")
-    out_one = tmp_path / "one.json"
-    code, _, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100", "--output", str(out_one))
-    assert code == 0
-    assert out_env.read_bytes() == out_one.read_bytes()
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,6 @@
 """Prime engine tests, checked against independent naive oracles."""
 
+import zlib
 from math import prod
 
 import numpy as np
@@ -14,7 +15,8 @@ from wdyn import (
     largest_prime_factor,
     primes_in_range,
 )
-from wdyn.primes import _load_table, _save_table
+from wdyn import oracle
+from wdyn.primes import _load_table, _save_table, largest_prime_factors
 
 
 # --- oracles, written before the paths they check ---
@@ -129,6 +131,14 @@ def test_lpf_beyond_certification_reach():
     assert err.value.required_limit == 14
 
 
+def test_largest_prime_factors_matches_oracle(table_1m):
+    lpf = largest_prime_factors(table_1m, 10**6)
+    assert np.array_equal(lpf[2:], oracle.lpf_array(table_1m, 10**6)[2:])
+    with pytest.raises(CoverageError) as err:
+        largest_prime_factors(table_1m, 10**6 + 1)
+    assert err.value.required_limit == 10**6 + 1
+
+
 def test_factorize_examples(table_10k):
     assert factor_list(table_10k, 20) == [2, 2, 5]
     assert factor_list(table_10k, 30) == [2, 3, 5]
@@ -168,6 +178,21 @@ def test_cache_corruption_falls_back(tmp_path, caplog):
     assert build_prime_table(5000, cache_dir=tmp_path).primes[-1] == table.primes[-1]
 
 
+def test_cache_corrupt_spf_slot_falls_back(tmp_path, caplog):
+    build_prime_table(200_000, cache_dir=tmp_path)
+    path = tmp_path / "sieve-200000.wdynsieve"
+    raw = bytearray(path.read_bytes())
+    head, nbits = 24, (200_001 + 7) // 8
+    slot = head + nbits + 4 * 99991  # spf of the prime 99991
+    assert int.from_bytes(raw[slot : slot + 4], "little") == 99991
+    raw[slot : slot + 4] = (7).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with caplog.at_level("WARNING"):
+        table = build_prime_table(200_000, cache_dir=tmp_path)
+    assert "checksum" in caplog.text and "rebuilding" in caplog.text
+    assert largest_prime_factor(table, 2 * 99991) == 99991
+
+
 def test_cache_bad_magic_falls_back(tmp_path, caplog):
     build_prime_table(300, cache_dir=tmp_path)
     path = tmp_path / "sieve-300.wdynsieve"
@@ -183,10 +208,11 @@ def test_cache_format_fields(tmp_path):
     table = build_prime_table(100, cache_dir=tmp_path)
     raw = (tmp_path / "sieve-100.wdynsieve").read_bytes()
     assert raw[:8] == b"WDYNSIEV"
-    assert int.from_bytes(raw[8:12], "little") == 1  # format version
+    assert int.from_bytes(raw[8:12], "little") == 2  # format version
     assert int.from_bytes(raw[12:20], "little") == 100  # limit
+    assert int.from_bytes(raw[20:24], "little") == zlib.crc32(raw[24:])  # payload checksum
     # header + packed bits + u32 spf payload
-    assert len(raw) == 20 + (101 + 7) // 8 + 4 * 101
+    assert len(raw) == 24 + (101 + 7) // 8 + 4 * 101
     loaded = _load_table(tmp_path / "sieve-100.wdynsieve", 100)
     assert np.array_equal(loaded.spf, table.spf)
 
