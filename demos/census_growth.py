@@ -35,9 +35,9 @@ for mode, grid in (("thm3", grid_pairs), ("thm1", grid_triples), ("thm2", grid_t
             census = census_c3(table, x, mode=mode)
         dt = time.perf_counter() - t0
         target, count = census.argmax
-        facs = "*".join(str(f) for f in census.target_factors[target])
+        facs = "*".join(str(f) for f in census.argmax_factors)
         ratio = census.constant().ratio
-        window = f"({census.r_lo},{census.r_hi}]"
+        window = "({},{}]".format(*census.window)
         print(f"{x:>7} {window:>14} {target:>20} ={facs:>13} {count:>6} {ratio:>8.3f} {dt:>7.2f}s")
     print()
 

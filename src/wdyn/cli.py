@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterable
 from math import isqrt
 from pathlib import Path
 
@@ -54,7 +55,7 @@ def _build(limit: int, args) -> PrimeTable:
     return build_prime_table(limit, cache_dir=_cache_dir(args))
 
 
-def _write_report(args, json_payload: dict, csv_rows: list, csv_header: list[str]) -> None:
+def _write_report(args, json_payload: dict, csv_rows: Iterable, csv_header: list[str]) -> None:
     if not args.output:
         return
     path = Path(args.output)
@@ -159,7 +160,8 @@ def cmd_census(args) -> int:
             f"{const.ratio:>12.6f}"
         )
     payload = {"mode": mode, "results": [c.to_json_dict() for c in censuses]}
-    csv_rows = [(c.x, t, n) for c in censuses for t, n in c.to_csv_rows()]
+    # a generator: the rows are built only if a CSV is written
+    csv_rows = ((c.x, t, n) for c in censuses for t, n in c.to_csv_rows())
     _write_report(args, payload, csv_rows, ["x", "target", "count"])
     return 0
 

@@ -12,8 +12,7 @@ nevertheless re-verified by full factorization whenever r*r <= s, so
 results are exact at any scale.
 
 Census counting conventions: parents are unordered triples of primes,
-each counted once; census keys are the canonical sorted-prime form of
-the image; argmax ties break toward the smallest image.  Censuses
+each counted once; census keys are the images n; argmax ties break toward the smallest image.  Censuses
 visit every pair, so they skip the congruence route: they read one P
 array over [0, 4x] and process one pivot prime's row of pair sums at a
 time with numpy.
@@ -30,7 +29,7 @@ import numpy as np
 
 from .dynamics import Triple, TripleClass
 from .errors import CoverageError
-from .primes import PrimeTable, largest_prime_factor, largest_prime_factors, primes_in_range
+from .primes import PrimeTable, factor_list, largest_prime_factor, largest_prime_factors, primes_in_range
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -171,28 +170,20 @@ class ParentCensus:
     """Tally of w-images over parents drawn from the box (x, 2x].
 
     ``tallies`` maps each image n to the number of unordered parent
-    triples found for it; ``target_factors`` holds the canonical prime
-    triple of each image.  ``parents`` is populated only when the
-    census was run with ``collect_parents=True``.
+    triples found for it.  ``argmax`` is (image, count) with the most
+    parents, ties broken toward the smallest image, and (0, 0) when the
+    census is empty; ``argmax_factors`` is that image's prime triple.
     """
 
     x: int
     mode: str  # thm1 | thm2 | thm3
-    r_lo: int
-    r_hi: int
-    parent_class: str  # c3 | b3
     tallies: dict[int, int]
-    target_factors: dict[int, tuple[int, int, int]]
-    parents: dict[int, list[tuple[int, int, int]]] | None = None
+    argmax: tuple[int, int]
+    argmax_factors: tuple[int, ...]
 
     @property
-    def argmax(self) -> tuple[int, int]:
-        """(image n, parent count) with the most parents; ties break
-        toward the smallest image.  (0, 0) when the census is empty."""
-        if not self.tallies:
-            return (0, 0)
-        n, c = min(self.tallies.items(), key=lambda kv: (-kv[1], kv[0]))
-        return (n, c)
+    def window(self) -> tuple[int, int]:
+        return window_bounds(self.x)
 
     @property
     def total_parents(self) -> int:
@@ -213,11 +204,11 @@ class ParentCensus:
         return {
             "x": self.x,
             "mode": self.mode,
-            "window": [self.r_lo, self.r_hi],
+            "window": list(self.window),
             "argmax": {
                 "target": target,
                 "count": count,
-                "target_factors": list(self.target_factors.get(target, ())),
+                "target_factors": list(self.argmax_factors),
             },
             "ratio": {"bound_form": const.bound_form, "value": const.ratio},
             "total_parents": self.total_parents,
@@ -229,86 +220,6 @@ class ParentCensus:
     def to_csv_rows(self) -> list[tuple[int, int]]:
         """(target, count) rows sorted by target, for plotting."""
         return sorted(self.tallies.items())
-
-
-_TALLY_BUFFER = 1 << 18  # records buffered before the first merge
-
-
-class _ImageTally:
-    """Running tally of census records.  Records fill one preallocated
-    buffer, merged into the sorted tally whenever it is full, so memory
-    stays O(row + tally) however many parents a census finds, and no
-    trail of small per-row arrays is left behind on the heap."""
-
-    def __init__(self, collect_parents: bool):
-        self.images = np.empty(0, dtype=np.int64)
-        self.counts = np.empty(0, dtype=np.int64)
-        self.factors = np.empty((0, 3), dtype=np.uint32)  # primes <= 4x <= table limit < 2**32
-        self._new_buffer(_TALLY_BUFFER)
-        self.parents: list[tuple[np.ndarray, np.ndarray]] | None = [] if collect_parents else None
-
-    def _new_buffer(self, size: int) -> None:
-        self.buf_images = np.empty(size, dtype=np.int64)
-        self.buf_factors = np.empty((size, 3), dtype=np.uint32)
-        self.used = 0
-
-    def add(self, images: np.ndarray, factors: list[np.ndarray], parents: list[np.ndarray]) -> None:
-        """One record per image; ``factors`` and ``parents`` are three
-        columns each, sorted here into canonical triples."""
-        if self.used + len(images) > len(self.buf_images):
-            self._merge()
-            # a buffer as large as the tally keeps the amortized merge cost per record O(log)
-            if max(len(self.images), len(images)) > len(self.buf_images):
-                self._new_buffer(max(len(self.images), len(images)))
-        end = self.used + len(images)
-        self.buf_images[self.used : end] = images
-        self.buf_factors[self.used : end] = np.sort(np.column_stack(factors), axis=1)
-        self.used = end
-        if self.parents is not None:
-            self.parents.append((images, np.sort(np.column_stack(parents), axis=1)))
-
-    def _merge(self) -> None:
-        n, self.used = self.used, 0
-        images = np.concatenate([self.images, self.buf_images[:n]])
-        counts = np.concatenate([self.counts, np.ones(n, dtype=np.int64)])
-        factors = np.concatenate([self.factors, self.buf_factors[:n]])
-        order = np.argsort(images)  # any record of an image will do: its factors are unique
-        images, counts, factors = images[order], counts[order], factors[order]
-        first = np.flatnonzero(np.diff(images, prepend=-1))  # images are positive
-        self.images, self.factors = images[first], factors[first]
-        self.counts = np.add.reduceat(counts, first)
-
-    def census(self, x: int, mode: str, parent_class: str) -> ParentCensus:
-        """The finished census; the tally's arrays are released as its
-        dicts are built, to keep the peak low."""
-        self._merge()
-        self.buf_images = self.buf_factors = None
-        images = self.images.tolist()
-        tallies = dict(zip(images, self.counts.tolist()))
-        # one shared int object per prime value, not three fresh ints per tuple
-        values = np.arange(self.factors.max(initial=0) + 1).astype(object)
-        columns = [values[col].tolist() for col in self.factors.T]
-        self.images = self.counts = self.factors = None
-        target_factors = dict(zip(images, zip(*columns)))
-        parents = None
-        if self.parents is not None:
-            parents = {}
-            records = (
-                (n, tuple(t)) for im, trips in self.parents for n, t in zip(im.tolist(), trips.tolist())
-            )
-            for n, trip in sorted(records):
-                parents.setdefault(n, []).append(trip)
-        r_lo, r_hi = window_bounds(x)
-        return ParentCensus(
-            x=x,
-            mode=mode,
-            r_lo=r_lo,
-            r_hi=r_hi,
-            parent_class=parent_class,
-            tallies=tallies,
-            target_factors=target_factors,
-            parents=parents,
-        )
 
 
 def _census_setup(table: PrimeTable, x: int, what: str) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -324,12 +235,23 @@ def _census_setup(table: PrimeTable, x: int, what: str) -> tuple[np.ndarray, np.
     return primes_in_range(table, x, 2 * x), largest_prime_factors(table, 4 * x), r_lo, r_hi
 
 
-def census_c3(
-    table: PrimeTable,
-    x: int,
-    mode: str = "thm1",
-    collect_parents: bool = False,
-) -> ParentCensus:
+def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray]) -> ParentCensus:
+    """The census of one image per parent, given as one array per pivot
+    row.  The images come out of ``np.unique`` sorted, so the first
+    maximum count is the argmax with ties toward the smallest image.
+    Its factors are within reach of the table: two of them are window
+    primes and the third is at most 4x."""
+    images, counts = np.unique(np.concatenate(rows), return_counts=True)
+    argmax, factors = (0, 0), ()
+    if len(images):
+        i = int(np.argmax(counts))
+        argmax = (int(images[i]), int(counts[i]))
+        factors = tuple(factor_list(table, argmax[0]))
+    tallies = dict(zip(images.tolist(), counts.tolist()))
+    return ParentCensus(x=x, mode=mode, tallies=tallies, argmax=argmax, argmax_factors=factors)
+
+
+def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     """Census of C3 parents over the box (x, 2x].
 
     Enumerates unordered triples of distinct primes in (x, 2x] that
@@ -347,7 +269,7 @@ def census_c3(
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
     ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_c3(x={x})")
-    tally = _ImageTally(collect_parents)
+    rows = []
     for i, p1 in enumerate(ps.tolist()):
         row = lpf[p1 + ps]
         row[i] = 0  # p1 is not its own partner
@@ -363,16 +285,11 @@ def census_c3(
             # q in the window makes all three primes designated; count at the smallest.
             # thm2 needs no such rule: q != r leaves p1 the only designated prime.
             ok &= ~((q > r_lo) & (q <= r_hi) & (p2 < p1))
-        r1, r2, q, p2, p3 = r1[ok], r2[ok], q[ok], p2[ok], p3[ok]
-        tally.add(r1 * r2 * q, [r1, r2, q], [np.full(len(q), p1), p2, p3])
-    return tally.census(x, mode, "c3")
+        rows.append(r1[ok] * r2[ok] * q[ok])
+    return _finish_census(table, x, mode, rows)
 
 
-def census_b3(
-    table: PrimeTable,
-    x: int,
-    collect_parents: bool = False,
-) -> ParentCensus:
+def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     """Census of B3 parents p*q**2 over the box (x, 2x] (mode "thm3").
 
     For every pair of primes q, p in (x, 2x] with p != q and
@@ -380,14 +297,13 @@ def census_b3(
     is tallied under that image.
     """
     ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_b3(x={x})")
-    tally = _ImageTally(collect_parents)
+    rows = []
     for i, q in enumerate(ps.tolist()):
         row = lpf[q + ps]
         row[i] = 0  # p != q
-        hit = np.flatnonzero((row > r_lo) & (row <= r_hi))
-        r, p, qs = row[hit], ps[hit], np.full(len(hit), q)
-        tally.add(qs * r * r, [qs, r, r], [p, qs, qs])
-    return tally.census(x, "thm3", "b3")
+        r = row[(row > r_lo) & (row <= r_hi)]
+        rows.append(q * r * r)
+    return _finish_census(table, x, "thm3", rows)
 
 
 @dataclass(frozen=True)

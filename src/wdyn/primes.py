@@ -155,8 +155,9 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     if zlib.crc32(memoryview(raw)[head:]) != crc:
         raise CacheError("payload checksum mismatch")
     bits = np.frombuffer(raw, dtype=np.uint8, count=nbits, offset=head)
-    is_prime = np.unpackbits(bits, count=limit + 1, bitorder="little").astype(bool)
-    spf = np.frombuffer(raw, dtype="<u4", offset=head + nbits).astype(np.uint32)
+    # views, not copies: the table is never written to
+    is_prime = np.unpackbits(bits, count=limit + 1, bitorder="little").view(bool)
+    spf = np.frombuffer(raw, dtype="<u4", offset=head + nbits)
     if is_prime[:2].any() or spf[2] != 2 or (limit >= 3 and spf[3] != 3):
         raise CacheError("payload fails sanity check")
     primes = np.nonzero(is_prime)[0].astype(np.int64)

@@ -182,7 +182,8 @@ def test_c5_c3_census_growth_and_shape(table_x10k):
             census = census_c3(table_x10k, x, mode=mode)
             target, count = census.argmax
             counts.append(count)
-            facs = census.target_factors[target]
+            facs = census.argmax_factors
+            assert facs[0] * facs[1] * facs[2] == target
             r_lo, r_hi = window_bounds(x)
             if mode == "thm1":
                 assert len(set(facs)) == 3

@@ -1,20 +1,20 @@
 """Census experiments: oracle equivalence, frozen argmax values,
-window membership, collected parents."""
+window membership, the argmax tie-break."""
 
 import json
 import random
 
+import numpy as np
 import pytest
 
 from wdyn import (
-    Triple,
-    apply_w,
     census_b3,
     census_c3,
+    classify,
     window_bounds,
 )
-from wdyn import oracle, parents
-from wdyn.parents import ParentCensus
+from wdyn import oracle
+from wdyn.parents import _finish_census
 
 
 def _oracle_b3_by_image(table, x):
@@ -65,95 +65,66 @@ FROZEN_ARGMAX = {
 }
 
 
+def _assert_argmax(census, want):
+    assert census.argmax == want
+    assert len(census.argmax_factors) == 3
+    assert np.prod(census.argmax_factors) == want[0]
+
+
 def test_census_b3_frozen_argmax(table_x10k):
     for x in (300, 1000, 3000, 10000):
         census = census_b3(table_x10k, x)
-        assert census.argmax == FROZEN_ARGMAX[("thm3", x)], x
+        _assert_argmax(census, FROZEN_ARGMAX[("thm3", x)])
 
 
 def test_census_c3_frozen_argmax(table_x10k):
     for mode in ("thm1", "thm2"):
         for x in (300, 1000, 3000):
             census = census_c3(table_x10k, x, mode=mode)
-            assert census.argmax == FROZEN_ARGMAX[(mode, x)], (mode, x)
+            _assert_argmax(census, FROZEN_ARGMAX[(mode, x)])
 
 
 def test_census_window_membership(table_x300):
     r_lo, r_hi = window_bounds(300)
+
+    def factors(census):
+        return {n: classify(table_x300, n).primes for n in census.tallies}
+
     b3 = census_b3(table_x300, 300)
-    assert (b3.r_lo, b3.r_hi) == (r_lo, r_hi)
-    for n, (f1, f2, f3) in b3.target_factors.items():
+    assert b3.window == (r_lo, r_hi)
+    for n, (f1, f2, f3) in factors(b3).items():
         doubled = f1 if f1 == f2 else f2
         assert r_lo < doubled <= r_hi, n
     thm1 = census_c3(table_x300, 300, mode="thm1")
-    for n, facs in thm1.target_factors.items():
+    for n, facs in factors(thm1).items():
         assert len(set(facs)) == 3, n
         assert sum(r_lo < f <= r_hi for f in facs) >= 2, n
     thm2 = census_c3(table_x300, 300, mode="thm2")
-    for n, (f1, f2, f3) in thm2.target_factors.items():
+    for n, (f1, f2, f3) in factors(thm2).items():
         assert len({f1, f2, f3}) == 2, n
         doubled = f1 if f1 == f2 else f2
         assert r_lo < doubled <= r_hi, n
 
 
-def test_census_collected_parents_map_to_their_bucket(table_x300):
-    b3 = census_b3(table_x300, 200, collect_parents=True)
-    assert b3.parents
-    for n, parents in b3.parents.items():
-        assert len(parents) == b3.tallies[n]
-        for trip in parents:
-            assert apply_w(table_x300, Triple(*trip)).n == n
-    thm1 = census_c3(table_x300, 200, mode="thm1", collect_parents=True)
-    for n, parents in thm1.parents.items():
-        assert len(parents) == thm1.tallies[n]
-        assert len(set(parents)) == len(parents)  # unordered triples, counted once
-        for trip in parents:
-            assert len(set(trip)) == 3
-            assert apply_w(table_x300, Triple(*trip)).n == n
-
-
 def test_census_parents_are_a_subset_of_full_enumeration(table_x300):
     # the census keeps only window-qualifying parents; find_c3_parents
     # has no window, so it can only see more
-    from wdyn import Triple, find_c3_parents
+    from wdyn import find_c3_parents
 
-    census = census_c3(table_x300, 200, mode="thm1", collect_parents=True)
-    for n in list(census.parents)[:12]:
-        full = find_c3_parents(table_x300, Triple(*census.target_factors[n]), 200)
-        full_set = {t.primes for t in full}
-        assert set(census.parents[n]) <= full_set, n
-
-
-def test_census_tally_merges_across_full_buffers(table_x300, monkeypatch):
-    # a 7-record buffer forces many merges and buffer growth, which the
-    # default buffer reaches only for censuses past about 2.6e5 records
-    want = {
-        mode: census_c3(table_x300, 300, mode=mode, collect_parents=True) for mode in ("thm1", "thm2")
-    }
-    want["thm3"] = census_b3(table_x300, 300, collect_parents=True)
-    monkeypatch.setattr(parents, "_TALLY_BUFFER", 7)
-    for mode, census in want.items():
-        if mode == "thm3":
-            got = census_b3(table_x300, 300, collect_parents=True)
-        else:
-            got = census_c3(table_x300, 300, mode=mode, collect_parents=True)
-        assert got.tallies == census.tallies, mode
-        assert got.target_factors == census.target_factors, mode
-        assert got.parents == census.parents, mode
-    assert want["thm1"].tallies == oracle.census_c3(table_x300, 300, "thm1")
+    census = census_c3(table_x300, 200, mode="thm1")
+    for n in list(census.tallies)[:12]:
+        full = find_c3_parents(table_x300, classify(table_x300, n), 200)
+        assert census.tallies[n] <= len(full), n
 
 
-def test_census_argmax_tie_breaks_to_smallest_target():
-    census = ParentCensus(
-        x=300, mode="thm3", r_lo=98, r_hi=197, parent_class="b3",
-        tallies={50: 3, 20: 3, 90: 1}, target_factors={},
-    )
+def test_census_argmax_tie_breaks_to_smallest_target(table_x300):
+    census = _finish_census(table_x300, 300, "thm3", [np.array([50, 20, 90]), np.array([20, 50, 50, 20])])
+    assert census.tallies == {20: 3, 50: 3, 90: 1}
     assert census.argmax == (20, 3)
-    empty = ParentCensus(
-        x=300, mode="thm3", r_lo=98, r_hi=197, parent_class="b3",
-        tallies={}, target_factors={},
-    )
+    assert census.argmax_factors == (2, 2, 5)
+    empty = _finish_census(table_x300, 300, "thm3", [np.empty(0, dtype=np.int64)])
     assert empty.argmax == (0, 0)
+    assert empty.argmax_factors == ()
     assert empty.total_parents == 0
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from wdyn.cli import main
+from wdyn.parents import ParentCensus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,6 +156,18 @@ def test_census_csv_report(capsys, tmp_path):
     assert lines[0] == "x,target,count"
     assert all(line.startswith("100,") for line in lines[1:])
     assert len(lines) > 1
+
+
+def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_path):
+    def no_rows(self):
+        raise AssertionError("CSV rows built with no CSV report to write")
+
+    monkeypatch.setattr(ParentCensus, "to_csv_rows", no_rows)
+    code, out, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100")
+    assert code == 0
+    assert out.strip()
+    code, _, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100", "--output", str(tmp_path / "r.json"))
+    assert code == 0
 
 
 def test_census_triple_mode_x_cap(capsys):

@@ -164,6 +164,7 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(table.spf, again.spf)
     assert np.array_equal(table.is_prime, again.is_prime)
     assert np.array_equal(table.primes, again.primes)
+    assert not again.spf.flags.owndata  # a view of the file's bytes, not a copy
 
 
 def test_cache_corruption_falls_back(tmp_path, caplog):
