@@ -29,7 +29,6 @@ from .parents import (
     find_b3_parents,
     find_c3_parents,
     find_parents,
-    lpf_equals,
     window_bounds,
     window_primes,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "find_parents",
     "ind",
     "largest_prime_factor",
-    "lpf_equals",
     "prime_progression_variance",
     "primes_in_range",
     "residue_count_variance",

@@ -10,7 +10,6 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -63,10 +62,11 @@ def _write_report(args, json_payload: dict, csv_rows: Iterable, csv_header: list
     if fmt == "json":
         path.write_text(json.dumps(json_payload, sort_keys=True, indent=2) + "\n")
     else:
+        # ints, floats and rational strings never need CSV quoting
+        line = ",".join(["%s"] * len(csv_header)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+            fh.write(",".join(csv_header) + "\r\n")
+            fh.writelines(line % row for row in csv_rows)
     logger.info("wrote %s", path)
 
 

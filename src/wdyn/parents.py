@@ -3,19 +3,15 @@ parent censuses over prime boxes.
 
 A parent of a target n is any m in A3 with w(m) = n.  Searches draw
 the parent primes from a box (x, 2x] and use the congruence
-acceleration: P(s) = r implies r | s, so candidates with P(p + p1) = r
-lie on the progression p = -p1 (mod r) and only those few residues are
-visited.  When r*r > s the converse also holds (every divisor pattern
-r*m with m < r keeps r maximal), which is exactly the regime of the
-middle-prime window (sqrt(x)*log(x), 2*sqrt(x)*log(x)]; membership is
-nevertheless re-verified by full factorization whenever r*r <= s, so
-results are exact at any scale.
+P(s) = r implies r | s: they step through the pair sums s that are
+multiples of r, keep those whose entry in the P array (derived from
+the spf sieve) equals r, and read off the prime pairs of each such sum.
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break toward the smallest image.  Censuses
-visit every pair, so they skip the congruence route: they read one P
-array over [0, 4x] and process one pivot prime's row of pair sums at a
-time with numpy.
+visit every pair, so they skip the congruence route: they read the same
+P array over [0, 4x] and process one pivot prime's row of pair sums at
+a time with numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 
 from .dynamics import Triple, TripleClass
 from .errors import CoverageError
-from .primes import PrimeTable, factor_list, largest_prime_factor, largest_prime_factors, primes_in_range
+from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -49,26 +45,6 @@ def window_primes(table: PrimeTable, x: int) -> list[int]:
     return primes_in_range(table, r_lo, r_hi).tolist()
 
 
-def lpf_equals(table: PrimeTable, s: int, r: int) -> bool:
-    """True iff P(s) = r, for prime r.
-
-    Fast path: when r*r > s, P(s) = r is equivalent to r | s.  Below
-    that threshold the full factorization decides, so the answer is
-    exact in both regimes.
-    """
-    if s < 2:
-        raise ValueError(f"P is defined for integers > 1, got {s}")
-    if r * r > s:
-        return s % r == 0
-    return largest_prime_factor(table, s) == r
-
-
-def _progression(first_after: int, hi: int, residue: int, modulus: int) -> range:
-    """Integers v with first_after < v <= hi and v = residue (mod modulus)."""
-    start = first_after + 1 + ((residue - (first_after + 1)) % modulus)
-    return range(start, hi + 1, modulus)
-
-
 def _require_coverage(table: PrimeTable, needed: int, what: str) -> None:
     if table.limit < needed:
         raise CoverageError(
@@ -81,33 +57,31 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     """All primes p in (x, 2x] with p != q and P(p + q) = r.
 
     Each such p gives the B3 parent p*q**2 of the target q*r**2.
-    Walks the progression p = -q (mod r) and filters by primality,
-    then verifies P(p + q) = r exactly.
+    Steps through the sums s = p + q in (x + q, 2x + q] that are
+    multiples of r, keeps those with P(s) = r, and filters p = s - q
+    by primality.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    _require_coverage(table, 2 * x + q, f"find_b3_parents(q={q}, r={r}, x={x})")
-    if r > 2 * x + q:
+    hi = 2 * x + q
+    _require_coverage(table, hi, f"find_b3_parents(q={q}, r={r}, x={x})")
+    if r > hi:
         return []  # P(p + q) = r needs r <= p + q <= 2x + q
     if not table.is_prime[q] or not table.is_prime[r]:
         raise ValueError(f"q and r must be prime, got q={q}, r={r}")
-    isp = table.is_prime.tobytes()
-    out = [
-        p
-        for p in _progression(x, 2 * x, -q % r, r)
-        if p != q and isp[p] and lpf_equals(table, p + q, r)
-    ]
-    return out
+    sums = np.arange((x + q) // r * r + r, hi + 1, r)
+    p = sums[largest_prime_factors(table, hi)[sums] == r] - q
+    return p[table.is_prime[p] & (p != q)].tolist()
 
 
 def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     """All unordered triples of distinct primes in (x, 2x] whose three
     pairwise P-sums match the target's prime multiset.
 
-    Pair-indexing: for each distinct target prime r, progressions
-    produce the pair list {(a, b): P(a + b) = r}; pairs sharing an
-    endpoint are then joined into triples.  Output is sorted and
-    duplicate-free.
+    Pair-indexing: for each distinct target prime r, the sums s in
+    (2x, 4x] that are multiples of r with P(s) = r each give their
+    prime pairs (a, s - a), a < s - a; pairs sharing an endpoint are
+    then joined into triples.  Output is sorted and duplicate-free.
     """
     if target.cls not in (TripleClass.C3, TripleClass.B3):
         raise ValueError(f"target must be in A3, got {target!r}")
@@ -117,18 +91,22 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
         return []  # pair sums lie in (2x, 4x]; such an image prime is unreachable
     _require_coverage(table, 4 * x, f"find_c3_parents(x={x})")
 
-    ps = primes_in_range(table, x, 2 * x).tolist()
-    isp = table.is_prime.tobytes()
+    ps = primes_in_range(table, x, 2 * x)
+    lpf = largest_prime_factors(table, 4 * x)
     distinct = sorted(set(target.primes))
     edges: dict[int, list[tuple[int, int]]] = {r: [] for r in distinct}
     nbr: dict[int, dict[int, set[int]]] = {r: defaultdict(set) for r in distinct}
     for r in distinct:
-        for a in ps:
-            for b in _progression(a, 2 * x, -a % r, r):
-                if isp[b] and lpf_equals(table, a + b, r):
-                    edges[r].append((a, b))
-                    nbr[r][a].add(b)
-                    nbr[r][b].add(a)
+        sums = np.arange(2 * x // r * r + r, 4 * x + 1, r)
+        for s in sums[lpf[sums] == r].tolist():
+            # a in [s - 2x, s / 2) keeps b = s - a in the box and a < b
+            lo, hi = np.searchsorted(ps, [s - 2 * x, (s + 1) // 2], side="left")
+            cand = ps[lo:hi]
+            for a in cand[table.is_prime[s - cand]].tolist():
+                b = s - a
+                edges[r].append((a, b))
+                nbr[r][a].add(b)
+                nbr[r][b].add(a)
 
     base = min(distinct, key=lambda r: len(edges[r]))
     rest = sorted(target.primes)

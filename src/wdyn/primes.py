@@ -6,10 +6,12 @@ sieve over ``[2, limit]`` plus the sorted prime list.  The table is
 immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
-walk the spf chain for ``n <= limit`` and trial-divide by the table
-primes for ``limit < n <= limit**2``.  :func:`largest_prime_factors`
-derives the whole P array over ``[0, n]``, ``n <= limit``, for the
-censuses.
+walk the spf chain for ``n <= limit``; beyond it one numpy remainder
+test finds the table primes up to sqrt(n) that divide n, and the
+cofactor left after dividing them out is certified prime when it is
+below ``(limit + 1)**2``, which covers every ``n <= limit**2``.
+:func:`largest_prime_factors` derives the whole P array over
+``[0, n]``, ``n <= limit``, for the censuses and the parent searches.
 """
 
 from __future__ import annotations
@@ -180,26 +182,6 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     return table.primes[left:right]
 
 
-def _factors_in_table(table: PrimeTable, n: int) -> list[int]:
-    """Prime factors with multiplicity via the spf chain; requires 2 <= n <= limit."""
-    spf = table.spf
-    out: list[int] = []
-    while n > 1:
-        p = int(spf[n])
-        out.append(p)
-        n //= p
-    return out
-
-
-def _trial_primes(table: PrimeTable, n: int) -> tuple[list[int], bool]:
-    """Table primes up to sqrt(n), plus whether that range is fully
-    covered (when it is, trial division certifies the leftover cofactor
-    prime)."""
-    root = isqrt(n)
-    hi = int(np.searchsorted(table.primes, root, side="right"))
-    return table.primes[:hi].tolist(), table.limit >= root
-
-
 def largest_prime_factor(table: PrimeTable, n: int) -> int:
     """Largest prime factor P(n) of an integer n > 1, with the reach of
     :func:`factor_list` (n up to ``table.limit**2``)."""
@@ -233,28 +215,31 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
 def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending.
 
-    n <= limit walks the spf chain; limit < n <= limit**2 trial-divides
-    by the table primes.
+    n <= limit walks the spf chain.  Beyond the table, one remainder
+    test finds the table primes up to sqrt(n) that divide n, and they
+    are divided out.  A composite cofactor below (limit + 1)**2 would
+    have a prime factor up to min(limit, sqrt(n)), so such a cofactor
+    is prime.
     """
     if n < 2:
         raise ValueError(f"factorization requires n >= 2, got {n}")
-    if n <= table.limit:
-        return _factors_in_table(table, n)
-    trial, certified = _trial_primes(table, n)
     out: list[int] = []
+    if n <= table.limit:
+        while n > 1:
+            p = int(table.spf[n])
+            out.append(p)
+            n //= p
+        return out
+    trial = table.primes[: np.searchsorted(table.primes, isqrt(n), side="right")]
+    if n >= 2**63:
+        trial = trial.astype(object)  # n does not fit in int64
     m = n
-    for p in trial:
-        if p * p > m:
-            certified = True
-            break
+    for p in trial[n % trial == 0].tolist():
         while m % p == 0:
             out.append(p)
             m //= p
-        if 1 < m <= table.limit:
-            out.extend(_factors_in_table(table, m))
-            return out
     if m > 1:
-        if not certified:
+        if m >= (table.limit + 1) ** 2:
             raise CoverageError(
                 f"factoring {n} needs table primes up to sqrt(n); "
                 f"rebuild with limit >= {isqrt(n) + 1}",

@@ -103,9 +103,10 @@ def residue_counts(sample: SequenceSample, r: int) -> np.ndarray:
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
-    vals = np.asarray(sample.values, dtype=np.int64)
-    if vals.size == 0:
-        return np.zeros(r, dtype=np.int64)
+    return _residue_counts(np.asarray(sample.values, dtype=np.int64), r)
+
+
+def _residue_counts(vals: np.ndarray, r: int) -> np.ndarray:
     return np.bincount(vals % r, minlength=r)
 
 
@@ -120,9 +121,10 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
     if x_bound < 2:
         raise ValueError(f"modulus cutoff must be >= 2, got {x_bound}")
     z = sample.size
+    vals = np.asarray(sample.values, dtype=np.int64)
     total = 0
     for r in range(1, x_bound + 1):
-        counts = residue_counts(sample, r)
+        counts = _residue_counts(vals, r)
         total += r * int(np.dot(counts, counts)) - z * z
     bound = float((sample.bound + x_bound * x_bound) * z)
     return VarianceReport(

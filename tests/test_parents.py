@@ -14,7 +14,6 @@ from wdyn import (
     find_b3_parents,
     find_c3_parents,
     find_parents,
-    lpf_equals,
     primes_in_range,
     window_bounds,
     window_primes,
@@ -31,26 +30,6 @@ def test_window_bounds_examples():
 def test_window_primes(table_x300):
     rs = window_primes(table_x300, 100)
     assert rs == [47, 53, 59, 61, 67, 71, 73, 79, 83, 89]
-
-
-def test_lpf_equals_examples(table_x300):
-    assert lpf_equals(table_x300, 14, 7)  # fast path: 49 > 14 and 7 | 14
-    assert lpf_equals(table_x300, 30, 5)  # slow path: 25 < 30, P(30) = 5
-    assert not lpf_equals(table_x300, 12, 2)  # P(12) = 3
-    assert not lpf_equals(table_x300, 14, 2)
-    with pytest.raises(ValueError):
-        lpf_equals(table_x300, 1, 7)
-
-
-def test_lpf_equals_fast_path_exhaustive(table_x300):
-    # every s <= 4 * 300 and prime r with r*r > s: divisibility decides P(s) = r
-    lpf = oracle.lpf_array(table_x300, 1200)
-    primes = table_x300.primes.tolist()
-    for s in range(2, 1201):
-        for r in primes:
-            if r * r <= s:
-                continue
-            assert (s % r == 0) == (lpf[s] == r), (s, r)
 
 
 def test_find_b3_parents_matches_oracle(table_x300):
@@ -106,6 +85,18 @@ def test_find_c3_parents_matches_oracle(table_x300):
             for parent in got:
                 assert parent.cls is TripleClass.C3
                 assert apply_w(table_x300, parent).n == target.n
+
+
+@pytest.mark.parametrize("n", [1786, 969, 2023])  # 2*19*47, 3*17*19, 7*17*17
+def test_find_parents_matches_oracle_at_x1000(table_x10k, n):
+    # every target prime r is small, so r*r <= s for all pair sums s in (2000, 4000]
+    target = classify(table_x10k, n)
+    query = ParentQuery(target=target, x=1000, parent_class="any")
+    got = find_parents(table_x10k, query)
+    assert got == find_parents(table_x10k, query, use_oracle=True)
+    assert len(got) > 0
+    for parent in got:
+        assert apply_w(table_x10k, parent).n == n
 
 
 def test_find_c3_parents_counts_at_x100(table_x300):

@@ -150,10 +150,22 @@ def test_factorize_examples(table_10k):
 def test_factorize_out_of_range(table_10k):
     with pytest.raises(ValueError):
         factor_list(table_10k, 1)
-    # 169 = 13**2 lies past limit**2 reach of a limit-10 table
+    # 169 = 13**2 is not below 11**2, so a limit-10 table cannot certify it
     with pytest.raises(CoverageError) as err:
         factor_list(build_prime_table(10), 169)
     assert err.value.required_limit == 14
+
+
+def test_factor_list_certifies_cofactor_below_next_square():
+    table = build_prime_table(10)
+    # 113 has no prime factor <= 10 and is below 11**2, so it is prime
+    assert factor_list(table, 226) == [2, 113]
+
+
+def test_factor_list_beyond_int64():
+    table = build_prime_table(10)
+    assert factor_list(table, 2**70) == [2] * 70
+    assert factor_list(table, 3 * 2**63) == [2] * 63 + [3]
 
 
 def test_cache_roundtrip(tmp_path):
