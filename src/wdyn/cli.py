@@ -1,10 +1,10 @@
 """Command-line harness: orbit inspection, parent searches, censuses,
 and variance tables.
 
-Exit codes: 0 success, 1 domain/usage error, 2 cap or table limit
-exceeded, 3 I/O or cache error.  Configuration precedence is CLI flag,
-then environment (WDYN_CACHE_DIR), then default.  All reports are
-deterministic for fixed inputs.
+Exit codes: 0 success, 1 domain/usage error, 2 cap, table limit or
+factoring bound (MR_BOUND) exceeded, 3 I/O or cache error.
+Configuration precedence is CLI flag, then environment (WDYN_CACHE_DIR),
+then default.  All reports are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 from collections.abc import Iterable
-from math import isqrt
 from pathlib import Path
 
 from .dynamics import DEFAULT_CAP, TripleClass, classify, ind, trajectory
@@ -27,6 +26,7 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 logger = logging.getLogger(__name__)
 
 CENSUS_X_CAP_C3 = 3000  # triple censuses blow up cubically past this
+POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,8 +78,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_classify(args) -> int:
     n = args.n
-    table = _build(max(1000, isqrt(n) + 1), args)
-    t = classify(table, n)
+    t = classify(_build(POINT_LIMIT, args), n)
     if t is None:
         print(f"{n}: not a product of three primes")
     else:
@@ -88,9 +87,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_traj(args) -> int:
-    n = args.n
-    table = _build(max(1000, isqrt(n) + 1), args)
-    traj = trajectory(table, n, cap=args.cap)
+    traj = trajectory(_build(POINT_LIMIT, args), args.n, cap=args.cap)
     if args.json:
         print(json.dumps(traj.to_json_dict(), sort_keys=True))
     else:
@@ -104,18 +101,16 @@ def cmd_traj(args) -> int:
 
 def cmd_ind(args) -> int:
     n = args.n
-    table = _build(max(1000, isqrt(n) + 1), args)
-    print(f"ind({n}) = {ind(table, n, cap=args.cap)}")
+    print(f"ind({n}) = {ind(_build(POINT_LIMIT, args), n, cap=args.cap)}")
     return 0
 
 
 def cmd_parents(args) -> int:
     n, x = args.target, args.x
-    boot = _build(max(1000, isqrt(n) + 1), args)
-    target = classify(boot, n)
+    target = classify(_build(POINT_LIMIT, args), n)
     if target is None or not target.in_a3:
         raise ValueError(f"target {n} is not in A3")
-    limit = max(1000, 4 * x, isqrt(n) + 1)
+    limit = max(POINT_LIMIT, 4 * x)
     if args.parent_class in ("b3", "any") and target.cls == TripleClass.B3:
         a, b, c = target.primes
         q = c if a == b else a

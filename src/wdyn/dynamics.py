@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import CapExceededError, CoverageError
-from .primes import PrimeTable, build_prime_table, factor_list, largest_prime_factor
+from .errors import CapExceededError
+from .primes import PrimeTable, factor_list, largest_prime_factor
 
 DEFAULT_CAP = 10_000
 
@@ -112,7 +112,7 @@ def classify(table: PrimeTable, n: int) -> Triple | None:
     """Canonical Triple of n when n has exactly three prime factors
     (with multiplicity), else None.
 
-    Accepts any n <= table.limit**2 (trial-division reach).
+    Accepts any n below ``MR_BOUND`` on any table (see :func:`factor_list`).
     """
     if n < 2:
         raise ValueError(f"classification requires n >= 2, got {n}")
@@ -148,46 +148,24 @@ def trajectory(
 ) -> Trajectory:
     """Iterate w from n until 20 is reached or ``cap`` steps are taken.
 
-    ``steps[0]`` is n itself (the zeroth iterate).  If a sum along the
-    orbit outgrows the table's factorization reach, the working table
-    is transparently rebuilt at double the limit (``auto_extend``);
-    pass ``auto_extend=False`` to get a CoverageError instead.
+    ``steps[0]`` is n itself (the zeroth iterate).  Any table serves:
+    factoring reaches past its limit (see :func:`factor_list`), so
+    ``auto_extend`` has no effect and is kept only for old callers.
+    n, or a sum along the orbit, at or above ``MR_BOUND`` raises
+    CoverageError.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    work = table
-
-    def grow(required: int) -> None:
-        nonlocal work
-        work = build_prime_table(max(2 * work.limit, required))
-
-    while True:
-        try:
-            t = classify(work, n)
-            break
-        except CoverageError as exc:
-            if not auto_extend:
-                raise
-            grow(exc.required_limit)
+    t = classify(table, n)
     if t is None or not t.in_a3:
         raise ValueError(f"{n} is not in A3 (needs exactly 3 prime factors, not a cube)")
 
     steps = [t]
-    if t.n == 20:
-        return Trajectory(start=t, steps=tuple(steps), terminal=ReachedTwenty(0))
-    for i in range(1, cap + 1):
-        while True:
-            try:
-                t = apply_w(work, t)
-                break
-            except CoverageError as exc:
-                if not auto_extend:
-                    raise
-                grow(exc.required_limit)
+    while t.n != 20 and len(steps) <= cap:
+        t = apply_w(table, t)
         steps.append(t)
-        if t.n == 20:
-            return Trajectory(start=steps[0], steps=tuple(steps), terminal=ReachedTwenty(i))
-    return Trajectory(start=steps[0], steps=tuple(steps), terminal=CapExceeded(cap))
+    terminal = ReachedTwenty(len(steps) - 1) if t.n == 20 else CapExceeded(cap)
+    return Trajectory(start=steps[0], steps=tuple(steps), terminal=terminal)
 
 
 def ind(table: PrimeTable, n: int, cap: int = DEFAULT_CAP) -> int:

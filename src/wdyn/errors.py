@@ -4,10 +4,11 @@
 class CoverageError(ValueError):
     """A prime table is too small for the requested computation.
 
-    ``required_limit`` is the smallest table limit that would suffice.
+    ``required_limit`` is the smallest table limit that would suffice,
+    or None when no table would (factoring n >= ``primes.MR_BOUND``).
     """
 
-    def __init__(self, message: str, required_limit: int):
+    def __init__(self, message: str, required_limit: int | None = None):
         super().__init__(message)
         self.required_limit = required_limit
 

@@ -6,12 +6,11 @@ sieve over ``[2, limit]`` plus the sorted prime list.  The table is
 immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
-walk the spf chain for ``n <= limit``; beyond it one numpy remainder
-test finds the table primes up to sqrt(n) that divide n, and the
-cofactor left after dividing them out is certified prime when it is
-below ``(limit + 1)**2``, which covers every ``n <= limit**2``.
-:func:`largest_prime_factors` derives the whole P array over
-``[0, n]``, ``n <= limit``, for the censuses and the parent searches.
+are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
+pieces up to the limit walk the spf chain, pieces past it go to
+Miller–Rabin and Pollard's rho.  :func:`largest_prime_factors` derives
+the P array over ``[0, n]``, ``n <= limit``, for the censuses and the
+parent searches.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ import struct
 import uuid
 import zlib
 from dataclasses import dataclass
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,11 @@ logger = logging.getLogger(__name__)
 CACHE_MAGIC = b"WDYNSIEV"
 CACHE_VERSION = 2
 CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the payload
+
+# Miller–Rabin on these bases is exact below MR_BOUND, itself the least
+# strong pseudoprime to all of them (Sorenson & Webster 2015)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
 
 def largest_prime_factor(table: PrimeTable, n: int) -> int:
     """Largest prime factor P(n) of an integer n > 1, with the reach of
-    :func:`factor_list` (n up to ``table.limit**2``)."""
+    :func:`factor_list` (n below ``MR_BOUND``)."""
     if n < 2:
         raise ValueError(f"P(n) requires n > 1, got {n}")
     return factor_list(table, n)[-1]
@@ -212,38 +217,66 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     return lpf
 
 
-def factor_list(table: PrimeTable, n: int) -> list[int]:
-    """Prime factors of n with multiplicity, ascending.
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin on MR_BASES; exact for n < MR_BOUND."""
+    if any(n % p == 0 for p in MR_BASES):
+        return n in MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for a in MR_BASES:
+        y = pow(a, (n - 1) >> s, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    n <= limit walks the spf chain.  Beyond the table, one remainder
-    test finds the table primes up to sqrt(n) that divide n, and they
-    are divided out.  A composite cofactor below (limit + 1)**2 would
-    have a prime factor up to min(limit, sqrt(n)), so such a cofactor
-    is prime.
+
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n: Pollard's rho with Floyd
+    cycle-finding on y**2 + c, moving to the next c when the gcd is n."""
+    if n % 2 == 0:
+        return 2
+    for c in count(1):
+        slow = fast = 2
+        d = 1
+        while d == 1:
+            slow = (slow * slow + c) % n
+            fast = (fast * fast + c) % n
+            fast = (fast * fast + c) % n
+            d = gcd(slow - fast, n)
+        if d != n:
+            return d
+
+
+def factor_list(table: PrimeTable, n: int) -> list[int]:
+    """Prime factors of n with multiplicity, ascending; exact for
+    2 <= n < MR_BOUND.  A piece of n up to ``table.limit`` walks the spf
+    chain; a piece past it is certified prime by Miller–Rabin, or split
+    by Pollard's rho and both parts factored in turn.
     """
     if n < 2:
         raise ValueError(f"factorization requires n >= 2, got {n}")
+    if n >= MR_BOUND:
+        raise CoverageError(
+            f"factoring is exact only below MR_BOUND = {MR_BOUND} (Miller–Rabin on bases 2..41)"
+        )
     out: list[int] = []
-    if n <= table.limit:
-        while n > 1:
-            p = int(table.spf[n])
-            out.append(p)
-            n //= p
-        return out
-    trial = table.primes[: np.searchsorted(table.primes, isqrt(n), side="right")]
-    if n >= 2**63:
-        trial = trial.astype(object)  # n does not fit in int64
-    m = n
-    for p in trial[n % trial == 0].tolist():
-        while m % p == 0:
-            out.append(p)
-            m //= p
-    if m > 1:
-        if m >= (table.limit + 1) ** 2:
-            raise CoverageError(
-                f"factoring {n} needs table primes up to sqrt(n); "
-                f"rebuild with limit >= {isqrt(n) + 1}",
-                required_limit=isqrt(n) + 1,
-            )
-        out.append(m)
+    pieces = [n]
+    while pieces:
+        m = pieces.pop()
+        if m <= table.limit:
+            while m > 1:
+                p = int(table.spf[m])
+                out.append(p)
+                m //= p
+        elif _is_prime(m):
+            out.append(m)
+        else:
+            d = _rho(m)
+            pieces += (d, m // d)
+    out.sort()
     return out

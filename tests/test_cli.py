@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from wdyn import cli
 from wdyn.cli import main
 from wdyn.parents import ParentCensus
+from wdyn.primes import MR_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,6 +73,37 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "16")
     assert code == 0
     assert "not a product of three primes" in out
+
+
+@pytest.mark.parametrize("n, primes, index", [
+    (10000067000144000099, "1000003*2000003*5000011", 13),
+    (30000060100005960000133, "10000019*30000001*100000007", 12),
+])
+def test_point_commands_past_any_sqrt_table(capsys, monkeypatch, n, primes, index):
+    limits = []
+    build = cli.build_prime_table
+
+    def recording_build(limit, cache_dir=None):
+        limits.append(limit)
+        return build(limit, cache_dir=cache_dir)
+
+    monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    code, out, _ = run(capsys, "classify", str(n))
+    assert code == 0 and f"{n} = {primes} (c3)" in out
+    code, out, _ = run(capsys, "traj", str(n))
+    assert code == 0 and out.startswith(f"{n} -> ") and f"ind = {index}" in out
+    code, out, _ = run(capsys, "ind", str(n))
+    assert code == 0 and f"ind({n}) = {index}" in out
+    assert limits and max(limits) <= 1000
+
+
+def test_classify_bad_inputs_exit_codes(capsys):
+    code, _, err = run(capsys, "classify", "--", "-5")
+    assert code == 1
+    assert "classification requires n >= 2, got -5" in err
+    code, _, err = run(capsys, "classify", str(4 * MR_BOUND))
+    assert code == 2
+    assert str(MR_BOUND) in err
 
 
 def test_sieve_command(capsys, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wdyn import (
     CapExceededError,
-    CoverageError,
     Triple,
     TripleClass,
     apply_w,
@@ -147,7 +146,7 @@ def test_ind_cap_exhaustion_names_cap(table_10k):
 
 def test_auto_extend_grows_tiny_table():
     tiny = build_prime_table(3)
-    # 1058 = 2 * 23^2 is far beyond the tiny table's reach
+    # 1058 = 2 * 23^2 is far beyond the tiny table; factoring reaches past it
     traj = trajectory(tiny, 1058, cap=100)
     assert traj.reached
     assert traj.steps[0] == Triple(2, 23, 23)
@@ -155,8 +154,10 @@ def test_auto_extend_grows_tiny_table():
 
 def test_auto_extend_can_be_disabled():
     tiny = build_prime_table(3)
-    with pytest.raises(CoverageError):
-        trajectory(tiny, 1058, cap=100, auto_extend=False)
+    # the keyword is kept for old callers and no longer changes anything
+    fixed = trajectory(tiny, 1058, cap=100, auto_extend=False)
+    assert fixed == trajectory(tiny, 1058, cap=100)
+    assert fixed.reached and fixed.steps[0] == Triple(2, 23, 23)
 
 
 def test_closure_on_small_primes(table_10k):

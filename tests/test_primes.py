@@ -16,7 +16,7 @@ from wdyn import (
     primes_in_range,
 )
 from wdyn import oracle
-from wdyn.primes import _load_table, _save_table, largest_prime_factors
+from wdyn.primes import MR_BOUND, _load_table, _save_table, largest_prime_factors
 
 
 # --- oracles, written before the paths they check ---
@@ -115,20 +115,56 @@ def test_lpf_equals_max_factor_exhaustive(table_10k):
         assert prod(factors) == n
 
 
-# supported universe is n <= limit**2, so the 40001 table covers 10**9
+# past the table, Miller–Rabin and rho take over; a limit-10 table
+# sends nearly every piece down that path
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=40_002, max_value=10**9))
-def test_lpf_beyond_limit_matches_naive(table_x10k, n):
-    assert largest_prime_factor(table_x10k, n) == max(naive_factor(n))
-    assert factor_list(table_x10k, n) == naive_factor(n)
+@given(st.integers(min_value=40_002, max_value=10**9), st.sampled_from([40_001, 10]))
+def test_lpf_beyond_limit_matches_naive(table_x10k, n, limit):
+    table = table_x10k if limit == 40_001 else build_prime_table(limit)
+    assert largest_prime_factor(table, n) == max(naive_factor(n))
+    assert factor_list(table, n) == naive_factor(n)
 
 
 def test_lpf_beyond_certification_reach():
+    # 169 = 13**2 has no factor <= 10; rho splits it past the table
+    assert largest_prime_factor(build_prime_table(10), 169) == 13
+
+
+# the least strong pseudoprimes to the first k prime bases, k = 2..12
+# (psi_7 = psi_8, psi_9 = psi_10 = psi_11), then squares and products
+# of primes past the table
+PAST_TABLE_FACTORS = [
+    [829, 1657],
+    [2251, 11251],
+    [151, 751, 28351],
+    [6763, 10627, 29947],
+    [1303, 16927, 157543],
+    [10670053, 32010157],
+    [149491, 747451, 34233211],
+    [399165290221, 798330580441],
+    [11, 11],
+    [10007, 10007],
+    [1000003, 1000003],
+    [11, 13],
+    [10007, 1000003],
+    [998244353, 1000000007],
+]
+
+
+@pytest.mark.parametrize("factors", PAST_TABLE_FACTORS, ids=str)
+def test_factor_list_exact_past_a_limit_10_table(factors):
+    assert all(naive_factor(p) == [p] for p in factors)
+    assert factor_list(build_prime_table(10), prod(factors)) == factors
+
+
+def test_factor_list_refuses_mr_bound():
     table = build_prime_table(10)
-    # 169 = 13**2 has no factor <= 10 and exceeds limit**2 reach
-    with pytest.raises(CoverageError) as err:
-        largest_prime_factor(table, 169)
-    assert err.value.required_limit == 14
+    # MR_BOUND = 1287836182261 * 2575672364521 is the strong pseudoprime to all 13 bases
+    assert factor_list(table, MR_BOUND - 2) == [17, 1709, 1366183751, 83570142193]
+    for n in (MR_BOUND, 4 * MR_BOUND):
+        with pytest.raises(CoverageError, match=str(MR_BOUND)) as err:
+            factor_list(table, n)
+        assert err.value.required_limit is None
 
 
 def test_largest_prime_factors_matches_oracle(table_1m):
@@ -150,15 +186,13 @@ def test_factorize_examples(table_10k):
 def test_factorize_out_of_range(table_10k):
     with pytest.raises(ValueError):
         factor_list(table_10k, 1)
-    # 169 = 13**2 is not below 11**2, so a limit-10 table cannot certify it
-    with pytest.raises(CoverageError) as err:
-        factor_list(build_prime_table(10), 169)
-    assert err.value.required_limit == 14
+    # 169 = 13**2 lies past a limit-10 table and its square; it is still exact
+    assert factor_list(build_prime_table(10), 169) == [13, 13]
 
 
 def test_factor_list_certifies_cofactor_below_next_square():
     table = build_prime_table(10)
-    # 113 has no prime factor <= 10 and is below 11**2, so it is prime
+    # 113 is prime and past the table: Miller–Rabin certifies it
     assert factor_list(table, 226) == [2, 113]
 
 
