@@ -10,9 +10,10 @@ The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
 sum over r of num_r / r**2 with an integer numerator num_r, computed
 by one numpy kernel in int64 where a computed bound rules out overflow
-and in Python ints otherwise.  The progression lhs is the exact
-rational sum for x <= EXACT_X_CUTOFF and the compensated sum of the
-correctly rounded quotients num_r / r**2 beyond it.
+and in Python ints otherwise; its class counts mod r sum the rows of
+length r of the (x, 2x] prime indicator, at most 255 rows per uint8
+reduction.  The lhs is the exact rational sum for x <= EXACT_X_CUTOFF
+and the compensated sum of the correctly rounded num_r / r**2 beyond it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def residue_counts(sample: SequenceSample, r: int) -> np.ndarray:
 
 
 def _residue_counts(vals: np.ndarray, r: int) -> np.ndarray:
-    return np.bincount(vals % r, minlength=r)
+    return np.bincount(vals - vals // r * r, minlength=r)  # vals % r, without the slower int64 %
 
 
 def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceReport:
@@ -152,8 +153,7 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
         )
     r_lo, r_hi = window_bounds(x)
     rs = primes_in_range(table, r_lo, r_hi).tolist()
-    ps = primes_in_range(table, x, 2 * x)
-    nums = _progression_numerators(ps, rs)
+    nums = _progression_numerators(table.is_prime[x + 1 : 2 * x + 1], x, rs)
     if x <= EXACT_X_CUTOFF:
         lhs = sum((Fraction(num, r * r) for num, r in zip(nums, rs)), Fraction(0))
     else:
@@ -168,25 +168,31 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
     )
 
 
-def _progression_numerators(ps: np.ndarray, rs: list[int]) -> list[int]:
-    """num_r = r**2 * sum over p1 in ps of (count in class -p1 mod r - Z/r)**2,
-    an exact integer for each r in rs.
+def _progression_numerators(box: np.ndarray, lo: int, rs: list[int]) -> list[int]:
+    """num_r = r**2 * sum over members p1 of (count in class -p1 mod r - Z/r)**2,
+    exactly, for each r in rs; ``box`` is the set's 0/1 indicator, box[i] marking lo + 1 + i.
 
-    The p1-sum collapses to residue classes: the number of p1 hitting
-    class b is the count w_b of primes in class (-b) mod r, so
-    num_r = sum_b w_b * (r * c_b - Z)**2.  Every |r * c_b - Z| is at
-    most max(r * max(c), Z) and the w_b sum to Z, so int64 cannot
-    overflow while Z * max(r * max(c), Z)**2 < 2**63; past that the
-    same expression runs on Python ints.
+    The p1-sum collapses to classes: num_r = sum_b w_b * (r * c_b - Z)**2
+    with c_b the count in class b and w_b = c_(-b), a reversed view.  The
+    c_b sum the rows k*r .. k*r + r - 1 of the zero-padded indicator, at
+    most 255 rows per uint8 reduction.  Every |r * c_b - Z| is at most
+    max(r * max(c), Z) and the w_b sum to Z, so int64 cannot overflow
+    while Z * max(r * max(c), Z)**2 < 2**63; past that the same
+    expression runs on Python ints.
     """
-    z = int(ps.size)
+    z = int(np.count_nonzero(box))
+    pad = max(rs, default=0)
+    padded = np.pad(box.astype(np.uint8), pad)  # padded[i] marks base + i
+    base, hi = lo + 1 - pad, lo + box.size
     nums = []
     for r in rs:
-        counts = np.bincount(ps % r, minlength=r)
-        weights = counts[(r - np.arange(r)) % r]  # weights[b] = count in class -b
+        rows = padded[(lo + 1) // r * r - base : -(-(hi + 1) // r) * r - base].reshape(-1, r)
+        counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
+        for k in range(255, len(rows), 255):  # a uint8 sum of <= 255 rows cannot wrap
+            counts += rows[k : k + 255].sum(axis=0, dtype=np.uint8)
         span = max(r * int(counts.max()), z)
         if z * span * span >= 2**63:
-            counts, weights = counts.astype(object), weights.astype(object)
-        d = r * counts - z
-        nums.append(int(np.dot(weights, d * d)))
+            counts = counts.astype(object)
+        d = (r * counts - z) ** 2
+        nums.append(int(counts[0] * d[0] + np.dot(counts[:0:-1], d[1:])))
     return nums

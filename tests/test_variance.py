@@ -2,6 +2,7 @@
 direct-summation oracles in exact rationals."""
 
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ def test_residue_counts_primes_mod_three(table_x300):
     counts = residue_counts(SequenceSample.from_values(ps), 3)
     assert counts[0] == 0  # no prime above 3 is divisible by 3
     assert counts.sum() == len(ps)
+
+
+def test_residue_counts_near_2_pow_62():
+    # the residues are vals - vals // r * r: check them against Python % where int64 is tight
+    vals = [2**62 + k for k in range(0, 40, 3)] + [2**62 - 1, 2**62 - 7919, 3 * 2**60 + 5]
+    sample = SequenceSample.from_values(vals)
+    for r in (1, 2, 7, 1009, 65537):
+        expected = [0] * r
+        for v in vals:
+            expected[v % r] += 1
+        assert residue_counts(sample, r).tolist() == expected, r
 
 
 def test_residue_counts_validation():
@@ -135,8 +147,7 @@ def test_progression_variance_matches_oracle_x100(table_x300):
 
 
 def test_progression_variance_empty_window(table_x300):
-    ps = primes_in_range(table_x300, 100, 200)
-    assert _progression_numerators(ps, []) == []
+    assert _progression_numerators(table_x300.is_prime[101:201], 100, []) == []
 
 
 def test_progression_variance_float_agrees_with_exact(table_200k):
@@ -162,15 +173,38 @@ def test_progression_numerators_int64_match_python_ints(table_200k):
     ps = primes_in_range(table_200k, x, 2 * x)
     z = ps.size
     assert z * (max(rs) * z) ** 2 < 2**63  # every r stays on the int64 path
-    assert _progression_numerators(ps, rs) == numerators_by_loop(ps.tolist(), rs)
+    box = table_200k.is_prime[x + 1 : 2 * x + 1]
+    assert _progression_numerators(box, x, rs) == numerators_by_loop(ps.tolist(), rs)
 
 
 def test_progression_numerators_fall_back_to_python_ints():
-    # all of ps in class 0 mod 1009: num_1009 = Z * (1008 * Z)**2 > 2**63
-    ps = 1009 * np.arange(1, 30_001, dtype=np.int64)
-    nums = _progression_numerators(ps, [3, 1009])
-    assert nums == numerators_by_loop(ps.tolist(), [3, 1009])
+    # the 30000 multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63
+    box = np.zeros(1009 * 30_000, dtype=np.uint8)
+    box[1008::1009] = 1  # box[i] marks i + 1
+    nums = _progression_numerators(box, 0, [3, 1009])
+    ps = list(range(1009, 1009 * 30_000 + 1, 1009))
+    assert nums == numerators_by_loop(ps, [3, 1009])
     assert nums[1] >= 2**63
+
+
+def test_progression_numerators_chunked_uint8():
+    # every integer in (3000, 6000]: classes hold 1000 (r = 3) and ~429 (r = 7)
+    # members, more than one uint8 column sum can count
+    box = np.ones(3000, dtype=np.uint8)
+    nums = _progression_numerators(box, 3000, [3, 7])
+    assert nums == numerators_by_loop(list(range(3001, 6001)), [3, 7])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=10, max_value=5000))
+def test_progression_variance_matches_loop_numerators(table_200k, x):
+    rs = primes_in_range(table_200k, *window_bounds(x)).tolist()
+    nums = numerators_by_loop(primes_in_range(table_200k, x, 2 * x).tolist(), rs)
+    if x <= EXACT_X_CUTOFF:
+        expected = sum((Fraction(num, r * r) for num, r in zip(nums, rs)), Fraction(0))
+    else:
+        expected = fsum(num / (r * r) for num, r in zip(nums, rs))
+    assert prime_progression_variance(table_200k, x).lhs == expected
 
 
 def test_progression_variance_validation(table_x300):
