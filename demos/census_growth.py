@@ -36,7 +36,7 @@ for mode, grid in (("thm3", grid_pairs), ("thm1", grid_triples), ("thm2", grid_t
         dt = time.perf_counter() - t0
         target, count = census.argmax
         facs = "*".join(str(f) for f in census.argmax_factors)
-        ratio = census.constant().ratio
+        ratio = census.ratio
         window = "({},{}]".format(*census.window)
         print(f"{x:>7} {window:>14} {target:>20} ={facs:>13} {count:>6} {ratio:>8.3f} {dt:>7.2f}s")
     print()
@@ -44,4 +44,4 @@ for mode, grid in (("thm3", grid_pairs), ("thm1", grid_triples), ("thm2", grid_t
 print("total parents found keeps growing too:")
 for x in grid_pairs:
     census = census_b3(table, x)
-    print(f"  x={x:>6}: {census.total_parents:>6} b3 parents over {len(census.tallies)} images")
+    print(f"  x={x:>6}: {census.total_parents:>6} b3 parents over {len(census.images)} images")

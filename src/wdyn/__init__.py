@@ -21,7 +21,6 @@ from .dynamics import (
 )
 from .errors import CacheError, CapExceededError, CoverageError
 from .parents import (
-    EmpiricalConstant,
     ParentCensus,
     ParentQuery,
     census_b3,
@@ -52,7 +51,6 @@ __all__ = [
     "CapExceeded",
     "CapExceededError",
     "CoverageError",
-    "EmpiricalConstant",
     "ParentCensus",
     "ParentQuery",
     "PrimeTable",

@@ -25,7 +25,7 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 
 logger = logging.getLogger(__name__)
 
-CENSUS_X_CAP_C3 = 3000  # triple censuses blow up cubically past this
+CENSUS_X_CAP_C3 = 10_000  # thm1 memory grows with the parent count: 186 MB here, about 1 GB at 2*10**4
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 
 
@@ -148,11 +148,10 @@ def cmd_census(args) -> int:
         else:
             census = census_c3(table, x, mode=mode)
         censuses.append(census)
-        const = census.constant()
         target, count = census.argmax
         print(
-            f"{x:>8} {target:>20} {count:>7} {const.bound_value:>16.6f} "
-            f"{const.ratio:>12.6f}"
+            f"{x:>8} {target:>20} {count:>7} {census.bound_value:>16.6f} "
+            f"{census.ratio:>12.6f}"
         )
     payload = {"mode": mode, "results": [c.to_json_dict() for c in censuses]}
     # a generator: the rows are built only if a CSV is written

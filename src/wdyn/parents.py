@@ -45,14 +45,6 @@ def window_primes(table: PrimeTable, x: int) -> list[int]:
     return primes_in_range(table, r_lo, r_hi).tolist()
 
 
-def _require_coverage(table: PrimeTable, needed: int, what: str) -> None:
-    if table.limit < needed:
-        raise CoverageError(
-            f"{what} needs table limit >= {needed}, have {table.limit}",
-            required_limit=needed,
-        )
-
-
 def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     """All primes p in (x, 2x] with p != q and P(p + q) = r.
 
@@ -64,7 +56,11 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     hi = 2 * x + q
-    _require_coverage(table, hi, f"find_b3_parents(q={q}, r={r}, x={x})")
+    if table.limit < hi:
+        raise CoverageError(
+            f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {hi}, have {table.limit}",
+            required_limit=hi,
+        )
     if r > hi:
         return []  # P(p + q) = r needs r <= p + q <= 2x + q
     if not table.is_prime[q] or not table.is_prime[r]:
@@ -89,10 +85,8 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
         raise ValueError(f"x must be >= 2, got {x}")
     if max(target.primes) > 4 * x:
         return []  # pair sums lie in (2x, 4x]; such an image prime is unreachable
-    _require_coverage(table, 4 * x, f"find_c3_parents(x={x})")
-
+    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
     ps = primes_in_range(table, x, 2 * x)
-    lpf = largest_prime_factors(table, 4 * x)
     distinct = sorted(set(target.primes))
     edges: dict[int, list[tuple[int, int]]] = {r: [] for r in distinct}
     nbr: dict[int, dict[int, set[int]]] = {r: defaultdict(set) for r in distinct}
@@ -124,38 +118,22 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     return [Triple(*t) for t in sorted(found)]
 
 
-@dataclass(frozen=True)
-class EmpiricalConstant:
-    """Observed census count against the predicted growth shape.
-
-    The implicit constants of the counting bounds are never specified;
-    what the experiments expose is the ratio observed/bound, which
-    should stay in a fixed band as x grows.
-    """
-
-    x: int
-    observed: int
-    bound_form: str
-    bound_value: float
-
-    @property
-    def ratio(self) -> float:
-        return self.observed / self.bound_value if self.bound_value else 0.0
-
-
-@dataclass
+@dataclass(eq=False)
 class ParentCensus:
     """Tally of w-images over parents drawn from the box (x, 2x].
 
-    ``tallies`` maps each image n to the number of unordered parent
-    triples found for it.  ``argmax`` is (image, count) with the most
-    parents, ties broken toward the smallest image, and (0, 0) when the
-    census is empty; ``argmax_factors`` is that image's prime triple.
+    ``images`` and ``counts`` are the int64 arrays of ``np.unique``:
+    the distinct images in ascending order and the number of unordered
+    parent triples found for each.  ``argmax`` is (image, count) with
+    the most parents, ties broken toward the smallest image, and (0, 0)
+    when the census is empty; ``argmax_factors`` is that image's prime
+    triple.
     """
 
     x: int
     mode: str  # thm1 | thm2 | thm3
-    tallies: dict[int, int]
+    images: np.ndarray
+    counts: np.ndarray
     argmax: tuple[int, int]
     argmax_factors: tuple[int, ...]
 
@@ -165,20 +143,30 @@ class ParentCensus:
 
     @property
     def total_parents(self) -> int:
-        return sum(self.tallies.values())
+        return int(self.counts.sum())
 
-    def constant(self) -> EmpiricalConstant:
-        if self.mode in ("thm1", "thm2"):
-            form, value = "x/log^4 x", self.x / log(self.x) ** 4
-        else:
-            form, value = "sqrt(x)/log^2 x", sqrt(self.x) / log(self.x) ** 2
-        return EmpiricalConstant(
-            x=self.x, observed=self.argmax[1], bound_form=form, bound_value=value
-        )
+    @property
+    def bound_form(self) -> str:
+        return "sqrt(x)/log^2 x" if self.mode == "thm3" else "x/log^4 x"
+
+    @property
+    def bound_value(self) -> float:
+        if self.mode == "thm3":
+            return sqrt(self.x) / log(self.x) ** 2
+        return self.x / log(self.x) ** 4
+
+    @property
+    def ratio(self) -> float:
+        """Argmax count over the predicted growth shape.
+
+        The implicit constants of the counting bounds are never
+        specified; what the experiments expose is this ratio, which
+        should stay in a fixed band as x grows.
+        """
+        return self.argmax[1] / self.bound_value
 
     def to_json_dict(self) -> dict:
         target, count = self.argmax
-        const = self.constant()
         return {
             "x": self.x,
             "mode": self.mode,
@@ -188,7 +176,7 @@ class ParentCensus:
                 "count": count,
                 "target_factors": list(self.argmax_factors),
             },
-            "ratio": {"bound_form": const.bound_form, "value": const.ratio},
+            "ratio": {"bound_form": self.bound_form, "value": self.ratio},
             "total_parents": self.total_parents,
         }
 
@@ -197,10 +185,10 @@ class ParentCensus:
 
     def to_csv_rows(self) -> list[tuple[int, int]]:
         """(target, count) rows sorted by target, for plotting."""
-        return sorted(self.tallies.items())
+        return list(zip(self.images.tolist(), self.counts.tolist()))
 
 
-def _census_setup(table: PrimeTable, x: int, what: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _census_setup(table: PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Box primes (x, 2x], the P array over [0, 4x] (every pair sum
     lies in (2x, 4x]) and the window bounds of a census."""
     if x < 10:
@@ -209,8 +197,8 @@ def _census_setup(table: PrimeTable, x: int, what: str) -> tuple[np.ndarray, np.
     # images r1*r2*q and q*r**2 are at most r_hi**2 * 4x and are formed in int64
     if r_hi * r_hi * 4 * x >= 2**63:
         raise ValueError(f"census images at x={x} would overflow int64")
-    _require_coverage(table, 4 * x, what)
-    return primes_in_range(table, x, 2 * x), largest_prime_factors(table, 4 * x), r_lo, r_hi
+    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
+    return primes_in_range(table, x, 2 * x), lpf, r_lo, r_hi
 
 
 def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray]) -> ParentCensus:
@@ -225,8 +213,9 @@ def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray])
         i = int(np.argmax(counts))
         argmax = (int(images[i]), int(counts[i]))
         factors = tuple(factor_list(table, argmax[0]))
-    tallies = dict(zip(images.tolist(), counts.tolist()))
-    return ParentCensus(x=x, mode=mode, tallies=tallies, argmax=argmax, argmax_factors=factors)
+    return ParentCensus(
+        x=x, mode=mode, images=images, counts=counts, argmax=argmax, argmax_factors=factors
+    )
 
 
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
@@ -246,7 +235,7 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
-    ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_c3(x={x})")
+    ps, lpf, r_lo, r_hi = _census_setup(table, x)
     rows = []
     for i, p1 in enumerate(ps.tolist()):
         row = lpf[p1 + ps]
@@ -274,7 +263,7 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     P(p + q) = r in the window, the parent p*q**2 of the image q*r**2
     is tallied under that image.
     """
-    ps, lpf, r_lo, r_hi = _census_setup(table, x, f"census_b3(x={x})")
+    ps, lpf, r_lo, r_hi = _census_setup(table, x)
     rows = []
     for i, q in enumerate(ps.tolist()):
         row = lpf[q + ps]

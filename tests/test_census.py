@@ -17,6 +17,12 @@ from wdyn import oracle
 from wdyn.parents import _finish_census
 
 
+def tally(census):
+    """The census as {image: count}, built from its two arrays."""
+    assert np.all(np.diff(census.images) > 0)  # np.unique order: ascending, distinct
+    return dict(zip(census.images.tolist(), census.counts.tolist()))
+
+
 def _oracle_b3_by_image(table, x):
     raw = oracle.census_b3(table, x)
     out = {}
@@ -30,13 +36,13 @@ def _oracle_b3_by_image(table, x):
 @pytest.mark.parametrize("mode", ["thm1", "thm2"])
 def test_census_c3_matches_oracle(table_x300, x, mode):
     got = census_c3(table_x300, x, mode=mode)
-    assert got.tallies == oracle.census_c3(table_x300, x, mode)
+    assert tally(got) == oracle.census_c3(table_x300, x, mode)
 
 
 @pytest.mark.parametrize("x", [100, 200])
 def test_census_b3_matches_oracle(table_x300, x):
     got = census_b3(table_x300, x)
-    assert got.tallies == _oracle_b3_by_image(table_x300, x)
+    assert tally(got) == _oracle_b3_by_image(table_x300, x)
 
 
 def test_census_sweep_matches_oracle_at_seeded_xs(table_x10k):
@@ -44,10 +50,10 @@ def test_census_sweep_matches_oracle_at_seeded_xs(table_x10k):
     # smallest census x up to where the thm1 cross-pivot rule fires often
     rng = random.Random(20260810)
     for x in sorted(rng.sample(range(10, 1001), 5)):
-        assert census_b3(table_x10k, x).tallies == _oracle_b3_by_image(table_x10k, x), x
+        assert tally(census_b3(table_x10k, x)) == _oracle_b3_by_image(table_x10k, x), x
         for mode in ("thm1", "thm2"):
             got = census_c3(table_x10k, x, mode=mode)
-            assert got.tallies == oracle.census_c3(table_x10k, x, mode), (x, mode)
+            assert tally(got) == oracle.census_c3(table_x10k, x, mode), (x, mode)
 
 
 # recorded from the first full run; the computation is deterministic
@@ -88,7 +94,7 @@ def test_census_window_membership(table_x300):
     r_lo, r_hi = window_bounds(300)
 
     def factors(census):
-        return {n: classify(table_x300, n).primes for n in census.tallies}
+        return {n: classify(table_x300, n).primes for n in census.images.tolist()}
 
     b3 = census_b3(table_x300, 300)
     assert b3.window == (r_lo, r_hi)
@@ -112,14 +118,14 @@ def test_census_parents_are_a_subset_of_full_enumeration(table_x300):
     from wdyn import find_c3_parents
 
     census = census_c3(table_x300, 200, mode="thm1")
-    for n in list(census.tallies)[:12]:
+    for n, count in census.to_csv_rows()[:12]:
         full = find_c3_parents(table_x300, classify(table_x300, n), 200)
-        assert census.tallies[n] <= len(full), n
+        assert count <= len(full), n
 
 
 def test_census_argmax_tie_breaks_to_smallest_target(table_x300):
     census = _finish_census(table_x300, 300, "thm3", [np.array([50, 20, 90]), np.array([20, 50, 50, 20])])
-    assert census.tallies == {20: 3, 50: 3, 90: 1}
+    assert tally(census) == {20: 3, 50: 3, 90: 1}
     assert census.argmax == (20, 3)
     assert census.argmax_factors == (2, 2, 5)
     empty = _finish_census(table_x300, 300, "thm3", [np.empty(0, dtype=np.int64)])
@@ -137,8 +143,10 @@ def test_census_validation(table_x300):
         census_b3(table_x300, 5)
     from wdyn import CoverageError
 
-    with pytest.raises(CoverageError):
-        census_b3(table_x300, 400)  # 4x exceeds the 1201 table
+    for x in (400, 700):  # 4x past the 1201 table; at 700 the box (x, 2x] is too
+        with pytest.raises(CoverageError) as err:
+            census_b3(table_x300, x)
+        assert err.value.required_limit == 4 * x
     with pytest.raises(ValueError, match="overflow int64"):
         census_c3(table_x300, 10**8)  # r_hi**2 * 4x >= 2**63
 
@@ -165,9 +173,11 @@ def test_census_csv_rows_sorted(table_x300):
     assert sum(c for _, c in rows) == census.total_parents
 
 
-def test_empirical_constant_fields(table_x300):
-    const = census_b3(table_x300, 300).constant()
-    assert const.x == 300
-    assert const.observed == 2
-    assert const.bound_form == "sqrt(x)/log^2 x"
-    assert const.ratio > 0
+def test_census_ratio_fields(table_x300):
+    census = census_b3(table_x300, 300)
+    assert census.argmax[1] == 2
+    assert census.bound_form == "sqrt(x)/log^2 x"
+    assert census.ratio == 2 / census.bound_value > 0
+    thm1 = census_c3(table_x300, 300, mode="thm1")
+    assert thm1.bound_form == "x/log^4 x"
+    assert thm1.ratio == thm1.argmax[1] / thm1.bound_value > 0

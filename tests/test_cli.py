@@ -204,7 +204,7 @@ def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_p
 
 
 def test_census_triple_mode_x_cap(capsys):
-    code, _, err = run(capsys, "census", "--mode", "thm1", "--x-grid", "300,5000")
+    code, _, err = run(capsys, "census", "--mode", "thm1", "--x-grid", "300,20000")
     assert code == 1
     assert "--allow-large" in err
 

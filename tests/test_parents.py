@@ -132,8 +132,10 @@ def test_find_c3_parents_rejects_d3_target(table_x300):
 
 
 def test_find_c3_parents_coverage(table_x300):
-    with pytest.raises(CoverageError):
-        find_c3_parents(table_x300, Triple(7, 13, 17), 400)  # 4x > limit
+    for x in (400, 700):  # 4x past the 1201 table; at 700 the box (x, 2x] is too
+        with pytest.raises(CoverageError) as err:
+            find_c3_parents(table_x300, Triple(7, 13, 17), x)
+        assert err.value.required_limit == 4 * x
 
 
 def test_find_parents_dispatch(table_x300):

@@ -172,19 +172,27 @@ def test_progression_numerators_int64_match_python_ints(table_200k):
     rs = primes_in_range(table_200k, r_lo, r_hi).tolist()
     ps = primes_in_range(table_200k, x, 2 * x)
     z = ps.size
-    assert z * (max(rs) * z) ** 2 < 2**63  # every r stays on the int64 path
+    assert z * z * z < 2**63  # Z * max(c)**2 <= Z**3: every r passes the int64 guard
     box = table_200k.is_prime[x + 1 : 2 * x + 1]
     assert _progression_numerators(box, x, rs) == numerators_by_loop(ps.tolist(), rs)
 
 
-def test_progression_numerators_fall_back_to_python_ints():
-    # the 30000 multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63
+def test_progression_numerators_exact_past_int64():
+    # the 30000 multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63,
+    # while the int64 dots only reach Z * max(c)**2 = 30000**3
     box = np.zeros(1009 * 30_000, dtype=np.uint8)
     box[1008::1009] = 1  # box[i] marks i + 1
     nums = _progression_numerators(box, 0, [3, 1009])
     ps = list(range(1009, 1009 * 30_000 + 1, 1009))
     assert nums == numerators_by_loop(ps, [3, 1009])
     assert nums[1] >= 2**63
+
+
+def test_progression_numerators_refuse_int64_overflow():
+    # r = 1 over 2 100 000 ones: Z * c_0**2 = 2.1e6**3 ~ 9.26e18 >= 2**63
+    box = np.ones(2_100_000, dtype=np.uint8)
+    with pytest.raises(ValueError, match="overflow int64"):
+        _progression_numerators(box, 0, [1])
 
 
 def test_progression_numerators_chunked_uint8():
