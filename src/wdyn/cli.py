@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .dynamics import DEFAULT_CAP, TripleClass, classify, ind, trajectory
@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 CENSUS_X_CAP_C3 = 10_000  # thm1 memory grows with the parent count: 186 MB here, about 1 GB at 2*10**4
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
+_CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +55,20 @@ def _build(limit: int, args) -> PrimeTable:
     return build_prime_table(limit, cache_dir=_cache_dir(args))
 
 
-def _write_report(args, json_payload: dict, csv_rows: Iterable, csv_header: list[str]) -> None:
+def _csv_line(row: tuple) -> str:
+    # ints, floats and rational strings never need CSV quoting
+    return ",".join(map(str, row)) + "\r\n"
+
+
+def _census_csv(censuses: list) -> Iterator[str]:
+    """Census CSV rows, formatted from each census's two arrays _CSV_BLOCK rows at a time."""
+    for c in censuses:
+        for i in range(0, len(c.images), _CSV_BLOCK):
+            rows = c.images[i : i + _CSV_BLOCK].tolist(), c.counts[i : i + _CSV_BLOCK].tolist()
+            yield "".join(map(f"{c.x},{{}},{{}}\r\n".format, *rows))
+
+
+def _write_report(args, json_payload: dict, csv_lines: Iterable[str], csv_header: list[str]) -> None:
     if not args.output:
         return
     path = Path(args.output)
@@ -62,11 +76,9 @@ def _write_report(args, json_payload: dict, csv_rows: Iterable, csv_header: list
     if fmt == "json":
         path.write_text(json.dumps(json_payload, sort_keys=True, indent=2) + "\n")
     else:
-        # ints, floats and rational strings never need CSV quoting
-        line = ",".join(["%s"] * len(csv_header)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_header) + "\r\n")
-            fh.writelines(line % row for row in csv_rows)
+            fh.write(_csv_line(csv_header))
+            fh.writelines(csv_lines)
     logger.info("wrote %s", path)
 
 
@@ -154,9 +166,8 @@ def cmd_census(args) -> int:
             f"{census.ratio:>12.6f}"
         )
     payload = {"mode": mode, "results": [c.to_json_dict() for c in censuses]}
-    # a generator: the rows are built only if a CSV is written
-    csv_rows = ((c.x, t, n) for c in censuses for t, n in c.to_csv_rows())
-    _write_report(args, payload, csv_rows, ["x", "target", "count"])
+    # a generator: the rows are formatted only if a CSV is written
+    _write_report(args, payload, _census_csv(censuses), ["x", "target", "count"])
     return 0
 
 
@@ -172,7 +183,7 @@ def cmd_lemma2(args) -> int:
         f"X={args.X} N={sample.bound} Z={sample.size} lhs={report.lhs} "
         f"bound={report.bound_value} ratio={report.ratio!r}"
     )
-    _write_report(args, report.to_json_dict(), [report.to_csv_row()], ["X", "lhs", "bound", "ratio"])
+    _write_report(args, report.to_json_dict(), [_csv_line(report.to_csv_row())], ["X", "lhs", "bound", "ratio"])
     return 0
 
 
@@ -187,7 +198,7 @@ def cmd_lemma3(args) -> int:
         reports.append(report)
         print(f"{x:>8} {str(report.lhs):>24} {report.bound_value:>18.4f} {report.ratio:>12.6f}")
     payload = {"results": [r.to_json_dict() for r in reports]}
-    _write_report(args, payload, [r.to_csv_row() for r in reports], ["x", "lhs", "bound", "ratio"])
+    _write_report(args, payload, [_csv_line(r.to_csv_row()) for r in reports], ["x", "lhs", "bound", "ratio"])
     return 0
 
 
@@ -253,15 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except (CapExceededError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

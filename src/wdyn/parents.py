@@ -5,19 +5,19 @@ A parent of a target n is any m in A3 with w(m) = n.  Searches draw
 the parent primes from a box (x, 2x] and use the congruence
 P(s) = r implies r | s: they step through the pair sums s that are
 multiples of r, keep those whose entry in the P array (derived from
-the spf sieve) equals r, and read off the prime pairs of each such sum.
+the spf sieve) equals r, and read off their prime pairs as arrays; C3
+searches join the pairs into triples by the same congruence.
 
 Census counting conventions: parents are unordered triples of primes,
-each counted once; census keys are the images n; argmax ties break toward the smallest image.  Censuses
-visit every pair, so they skip the congruence route: they read the same
-P array over [0, 4x] and process one pivot prime's row of pair sums at
-a time with numpy.
+each counted once; census keys are the images n; argmax ties break
+toward the smallest image.  Censuses visit every pair, so they skip the
+congruence route: they read the same P array over [0, 4x] and process
+one pivot prime's row of pair sums at a time with numpy.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -26,6 +26,8 @@ import numpy as np
 from .dynamics import Triple, TripleClass
 from .errors import CoverageError
 from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
+
+_JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -70,52 +72,60 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     return p[table.is_prime[p] & (p != q)].tolist()
 
 
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [starts[i], starts[i] + lens[i]) end to end, as (i, index) per element."""
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+
+
 def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     """All unordered triples of distinct primes in (x, 2x] whose three
     pairwise P-sums match the target's prime multiset.
 
-    Pair-indexing: for each distinct target prime r, the sums s in
-    (2x, 4x] that are multiples of r with P(s) = r each give their
-    prime pairs (a, s - a), a < s - a; pairs sharing an endpoint are
-    then joined into triples.  Output is sorted and duplicate-free.
+    Each target prime r has the even multiples s of r in (2x, 4x] with
+    P(s) = r.  The pairs (u, v) of the base prime's sums are built in
+    blocks of ``_JOIN_BLOCK`` candidates; a third prime c with P(u + c) =
+    m2 and P(v + c) = m3 makes u + c an m2-sum congruent to u - v mod m3.
+    Output is sorted and duplicate-free.
     """
     if target.cls not in (TripleClass.C3, TripleClass.B3):
         raise ValueError(f"target must be in A3, got {target!r}")
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    if max(target.primes) > 4 * x:
-        return []  # pair sums lie in (2x, 4x]; such an image prime is unreachable
     lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
     ps = primes_in_range(table, x, 2 * x)
-    distinct = sorted(set(target.primes))
-    edges: dict[int, list[tuple[int, int]]] = {r: [] for r in distinct}
-    nbr: dict[int, dict[int, set[int]]] = {r: defaultdict(set) for r in distinct}
-    for r in distinct:
-        sums = np.arange(2 * x // r * r + r, 4 * x + 1, r)
-        for s in sums[lpf[sums] == r].tolist():
-            # a in [s - 2x, s / 2) keeps b = s - a in the box and a < b
-            lo, hi = np.searchsorted(ps, [s - 2 * x, (s + 1) // 2], side="left")
-            cand = ps[lo:hi]
-            for a in cand[table.is_prime[s - cand]].tolist():
-                b = s - a
-                edges[r].append((a, b))
-                nbr[r][a].add(b)
-                nbr[r][b].add(a)
-
-    base = min(distinct, key=lambda r: len(edges[r]))
-    rest = sorted(target.primes)
+    sums, lo, lens = {}, {}, {}  # a target prime above 4x has no sums
+    for r in dict.fromkeys(target.primes):
+        s = np.arange(2 * x // r * r + r, 4 * x + 1, r)
+        sums[r] = s = s[(lpf[s] == r) & (s % 2 == 0)]  # two odd primes have an even sum
+        # a in [s - 2x, s / 2) keeps b = s - a in the box and a < b
+        lo[r] = np.searchsorted(ps, s - 2 * x)
+        lens[r] = np.searchsorted(ps, s // 2) - lo[r]
+    base = min(sums, key=lambda r: lens[r].sum())  # the fewest candidate pairs
+    rest = list(target.primes)
     rest.remove(base)
-    m2, m3 = rest
-    found: set[tuple[int, int, int]] = set()
-    for a, b in edges[base]:
-        if m2 == m3:
-            cands = nbr[m2][a] & nbr[m2][b]
-        else:
-            cands = (nbr[m2][a] & nbr[m3][b]) | (nbr[m3][a] & nbr[m2][b])
-        for c in cands:
-            if c != a and c != b:
-                found.add(tuple(sorted((a, b, c))))
-    return [Triple(*t) for t in sorted(found)]
+    m2, m3 = min(rest, rest[::-1], key=lambda m: len(sums[m[0]]) / m[1])  # the fewest c per pair
+    s2 = sums[m2][np.argsort(sums[m2] % m3)]  # the m2-sums by residue mod m3
+    res = s2 % m3
+    cuts = np.searchsorted(np.cumsum(lens[base]), np.arange(_JOIN_BLOCK, lens[base].sum(), _JOIN_BLOCK))
+    found = []
+    for blk in np.split(np.arange(len(sums[base])), cuts):  # the base sums of one block
+        owner, idx = _ragged(lo[base][blk], lens[base][blk])
+        a = ps[idx]
+        b = sums[base][blk][owner] - a
+        keep = table.is_prime[b]
+        a, b = a[keep], b[keep]
+        for u, v in ((a, b), (b, a)) if m2 != m3 else ((a, b),):
+            key = (u - v) % m3
+            start = np.searchsorted(res, key)
+            owner, idx = _ragged(start, np.searchsorted(res, key, side="right") - start)
+            c = s2[idx] - u[owner]
+            hit = (c > x) & (c <= 2 * x) & table.is_prime[c]  # then v + c <= 4x, inside lpf
+            owner, c = owner[hit], c[hit]
+            hit = (lpf[v[owner] + c] == m3) & (c != u[owner]) & (c != v[owner])
+            found.append(np.stack([u[owner[hit]], v[owner[hit]], c[hit]], axis=1))
+    triples = np.unique(np.sort(np.concatenate(found), axis=1), axis=0)
+    return [Triple(*t) for t in triples.tolist()]
 
 
 @dataclass(eq=False)

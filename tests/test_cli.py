@@ -10,7 +10,6 @@ import pytest
 
 from wdyn import cli
 from wdyn.cli import main
-from wdyn.parents import ParentCensus
 from wdyn.primes import MR_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,10 +191,11 @@ def test_census_csv_report(capsys, tmp_path):
 
 
 def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_path):
-    def no_rows(self):
+    def no_rows(censuses):
         raise AssertionError("CSV rows built with no CSV report to write")
+        yield  # a generator, like the row source it replaces
 
-    monkeypatch.setattr(ParentCensus, "to_csv_rows", no_rows)
+    monkeypatch.setattr(cli, "_census_csv", no_rows)
     code, out, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100")
     assert code == 0
     assert out.strip()

@@ -1,6 +1,7 @@
 """Parent enumeration against the brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -99,6 +100,38 @@ def test_find_parents_matches_oracle_at_x1000(table_x10k, n):
         assert apply_w(table_x10k, parent).n == n
 
 
+@pytest.mark.parametrize("n", [1786, 969, 2023])  # 2*19*47, 3*17*19, 7*17*17
+def test_find_c3_parents_across_join_blocks(table_x10k, monkeypatch, n):
+    # blocks of 3 candidate base pairs: many blocks, most of them partial,
+    # and the last one ends wherever the candidates run out
+    monkeypatch.setattr("wdyn.parents._JOIN_BLOCK", 3)
+    target = classify(table_x10k, n)
+    got = find_c3_parents(table_x10k, target, 1000)
+    assert got == oracle.find_c3_parents(table_x10k, target, 1000)
+    assert len(got) > 0
+
+
+def test_find_c3_parents_sweep_matches_oracle_at_seeded_xs(table_x10k):
+    # images of seeded box triples, both p*q*r (mostly C3 images) and
+    # p*q**2 (B3 images q*r**2), so both the m2 != m3 and the m2 == m3 joins run
+    rng = random.Random(20261018)
+    classes = set()
+    for x in sorted(rng.sample(range(10, 401), 5)):
+        ps = primes_in_range(table_x10k, x, 2 * x).tolist()
+        for k in range(6):
+            p, q, r = rng.sample(ps, 3)
+            parent = Triple.from_primes(p, q, r if k % 2 else q)
+            target = apply_w(table_x10k, parent)
+            if not target.in_a3:
+                continue
+            got = find_c3_parents(table_x10k, target, x)
+            assert got == oracle.find_c3_parents(table_x10k, target, x), (x, target)
+            assert parent in got or parent.cls is TripleClass.B3
+            if got:
+                classes.add(target.cls)
+    assert classes == {TripleClass.C3, TripleClass.B3}  # a non-empty answer for each
+
+
 def test_find_c3_parents_counts_at_x100(table_x300):
     # image of (101, 103, 107) is 7 * 13 * 17 = 1547
     target = apply_w(table_x300, Triple(101, 103, 107))
@@ -124,6 +157,15 @@ def test_find_c3_parents_target_containing_two(table_x300):
 def test_find_c3_parents_unreachable_target(table_x300):
     # a target prime above 4x cannot be any P(sum): sums lie in (2x, 4x]
     assert find_c3_parents(table_x300, Triple(2, 3, 401), 100) == []
+
+
+def test_find_c3_parents_target_with_a_box_prime(table_x300):
+    # 53**2 * 47 at x = 31: the single prime 47 is itself a box prime and
+    # the sum 2 * 47 has P = 47, which must not pair 47 with itself
+    for n, x in [(132023, 31), (907889, 59)]:  # 53*53*47, 101*101*89
+        target = classify(table_x300, n)
+        assert find_c3_parents(table_x300, target, x) == []
+        assert oracle.find_c3_parents(table_x300, target, x) == []
 
 
 def test_find_c3_parents_rejects_d3_target(table_x300):
