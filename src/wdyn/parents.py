@@ -124,8 +124,11 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
             owner, c = owner[hit], c[hit]
             hit = (lpf[v[owner] + c] == m3) & (c != u[owner]) & (c != v[owner])
             found.append(np.stack([u[owner[hit]], v[owner[hit]], c[hit]], axis=1))
-    triples = np.unique(np.sort(np.concatenate(found), axis=1), axis=0)
-    return [Triple(*t) for t in triples.tolist()]
+    triples = np.sort(np.concatenate(found), axis=1)
+    triples = triples[np.lexsort(triples.T[::-1])]  # rows in order, first column first
+    fresh = np.ones(len(triples), dtype=bool)
+    fresh[1:] = (triples[1:] != triples[:-1]).any(axis=1)
+    return [Triple(*t) for t in triples[fresh].tolist()]
 
 
 @dataclass(eq=False)

@@ -19,6 +19,7 @@ import logging
 import struct
 import uuid
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
@@ -38,6 +39,8 @@ CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the payload
 # strong pseudoprime to all of them (Sorenson & Webster 2015)
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+_SEGMENT = 1 << 18  # spf entries sieved at a time: 1 MB of uint32, an L2's worth
 
 
 @dataclass(frozen=True)
@@ -69,17 +72,33 @@ class PrimeTable:
 
 
 def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-prime-factor array over [0, limit] plus the prime mask."""
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    unassigned = spf == 0
-    unassigned[:2] = False
-    spf[unassigned] = np.nonzero(unassigned)[0].astype(np.uint32)
-    spf[1] = 1
-    return spf, unassigned
+    """Smallest-prime-factor array over [0, limit] plus the prime mask.
+
+    ``spf`` starts as ``arange(limit + 1)`` (so 0 and 1 are their own
+    sentinels) and is sieved in segments of ``_SEGMENT`` entries, small
+    enough to stay in cache.  In each segment [lo, hi) the primes p with
+    p**2 < hi write p over their multiples from max(p**2, lo) on, in
+    descending order and without a mask: the smallest prime dividing a
+    slot writes last, so the slot ends up holding it.  A slot no prime
+    writes keeps its own value, and is prime exactly then.
+    """
+    root = isqrt(limit)
+    flags = np.ones(root + 1, dtype=bool)  # root < 2**16 as limit < 2**32
+    flags[:2] = False
+    for p in range(2, isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    small = np.nonzero(flags)[0].tolist()
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    is_prime = np.empty(limit + 1, dtype=bool)
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        block = spf[lo:hi]
+        for p in reversed(small[: bisect_left(small, isqrt(hi - 1) + 1)]):  # p**2 < hi
+            block[max(p * p, -(-lo // p) * p) - lo :: p] = p
+        np.equal(block, np.arange(lo, hi, dtype=np.uint32), out=is_prime[lo:hi])
+    is_prime[:2] = False
+    return spf, is_prime
 
 
 def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
@@ -123,8 +142,8 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
 
 def _save_table(table: PrimeTable, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    bits = np.packbits(table.is_prime.view(np.uint8), bitorder="little").tobytes()
-    spf = table.spf.astype("<u4").tobytes()
+    bits = np.packbits(table.is_prime.view(np.uint8), bitorder="little")
+    spf = np.ascontiguousarray(table.spf, dtype="<u4")  # no copy on a little-endian host
     crc = zlib.crc32(spf, zlib.crc32(bits))
     header = struct.pack(CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, table.limit, crc)
     # a name of its own per writer, so concurrent builds never share a temp file

@@ -15,7 +15,7 @@ from wdyn import (
     largest_prime_factor,
     primes_in_range,
 )
-from wdyn import oracle
+from wdyn import oracle, primes
 from wdyn.primes import MR_BOUND, _load_table, _save_table, largest_prime_factors
 
 
@@ -66,12 +66,35 @@ def test_prime_count_to_ten_thousand(table_10k):
     assert table_10k.primes.tolist() == oracle
 
 
-def test_spf_invariants(table_10k):
-    n = np.arange(2, table_10k.limit + 1)
-    spf = table_10k.spf[2:].astype(np.int64)
+def assert_spf_invariants(table):
+    n = np.arange(2, table.limit + 1)
+    spf = table.spf[2:].astype(np.int64)
     assert np.all(n % spf == 0)
-    assert table_10k.is_prime[spf].all()
-    assert np.array_equal(spf == n, table_10k.is_prime[2:])
+    assert table.is_prime[spf].all()
+    assert np.array_equal(spf == n, table.is_prime[2:])
+    # spf(n) is the smallest prime factor exactly when n / spf(n) has none smaller
+    q = n // spf
+    assert np.all((q < 2) | (table.spf[q] >= spf))
+    assert table.spf[0] == 0 and table.spf[1] == 1 and not table.is_prime[:2].any()
+
+
+def test_spf_invariants(table_10k):
+    assert_spf_invariants(table_10k)
+
+
+def test_spf_invariants_across_segments(table_1m):
+    assert primes._SEGMENT < table_1m.limit  # several segments, the last one partial
+    assert_spf_invariants(table_1m)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+def test_segment_boundaries(monkeypatch, segment):
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
+    s = segment
+    for limit in sorted({lim for lim in (2, 3, 4, s - 1, s, s + 1, 3 * s + 1, 10_000) if lim >= 2}):
+        table = build_prime_table(limit)
+        assert table.primes.tolist() == naive_sieve(limit), limit
+        assert_spf_invariants(table)
 
 
 def test_primes_list_matches_is_prime(table_10k):
@@ -262,6 +285,19 @@ def test_cache_format_fields(tmp_path):
     assert len(raw) == 24 + (101 + 7) // 8 + 4 * 101
     loaded = _load_table(tmp_path / "sieve-100.wdynsieve", 100)
     assert np.array_equal(loaded.spf, table.spf)
+
+
+# payload checksums of caches written before the segmented sieve; a
+# match keeps old and new cache files interchangeable
+PINNED_CACHE_CRCS = {262_143: 0x4AF2A27F, 262_144: 0x45D8732A, 262_145: 0xC0F54C75, 10**6: 0x0ED0FDBC}
+
+
+@pytest.mark.parametrize("limit", PINNED_CACHE_CRCS)
+def test_cache_bytes_pinned(tmp_path, limit):
+    build_prime_table(limit, cache_dir=tmp_path)
+    raw = (tmp_path / f"sieve-{limit}.wdynsieve").read_bytes()
+    assert int.from_bytes(raw[20:24], "little") == PINNED_CACHE_CRCS[limit]
+    assert zlib.crc32(raw[24:]) == PINNED_CACHE_CRCS[limit]
 
 
 def test_save_load_helpers_roundtrip(tmp_path):
