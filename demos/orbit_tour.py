@@ -39,7 +39,7 @@ print("=== some orbits ===")
 for n in (98, 75, 3 * 5 * 7, 11 * 13 * 17, 997 * 991 * 983):
     traj = trajectory(table, n)
     chain = " -> ".join(str(s.n) for s in traj.steps)
-    print(f"  ind={traj.terminal.index}: {chain}")
+    print(f"  ind={traj.index}: {chain}")
 
 print()
 print("=== ind distribution over A3 members up to 20000 ===")

@@ -21,6 +21,11 @@ from wdyn import (
     primes_in_range,
 )
 
+
+def fmt(t: Triple) -> str:
+    return f"{t.p1}*{t.p2}*{t.p3}={t.n}"
+
+
 x = 100
 table = build_prime_table(4 * x + 1)
 box = primes_in_range(table, x, 2 * x).tolist()
@@ -30,7 +35,7 @@ print(f"box (x, 2x] = ({x}, {2 * x}]: {len(box)} primes, "
 print()
 print("=== C3 target ===")
 target = apply_w(table, Triple(101, 103, 107))
-print(f"target: w(101*103*107) = {target} ({target.cls.value})")
+print(f"target: w(101*103*107) = {fmt(target)} ({target.cls.value})")
 for use_oracle in (False, True):
     t0 = time.perf_counter()
     parents = find_parents(table, ParentQuery(target=target, x=x), use_oracle=use_oracle)
@@ -39,15 +44,15 @@ for use_oracle in (False, True):
     print(f"  {label:>11}: {len(parents)} parents in {dt:7.2f} ms")
 for p in parents:
     assert apply_w(table, p).n == target.n
-    print(f"    {p}")
+    print(f"    {fmt(p)}")
 
 print()
 print("=== B3 target ===")
 target = classify(table, 103 * 17 * 17)
-print(f"target: {target} ({target.cls.value})")
+print(f"target: {fmt(target)} ({target.cls.value})")
 for cls in ("c3", "b3", "any"):
     parents = find_parents(table, ParentQuery(target=target, x=x, parent_class=cls))
-    print(f"  {cls}-parents: {len(parents)}  {[str(p) for p in parents]}")
+    print(f"  {cls}-parents: {len(parents)}  {[fmt(p) for p in parents]}")
 
 print()
 print("=== C3 targets have no B3 parents ===")

@@ -8,8 +8,6 @@ large-sieve variance sums that underpin the counting heuristics.
 """
 
 from .dynamics import (
-    CapExceeded,
-    ReachedTwenty,
     Trajectory,
     Triple,
     TripleClass,
@@ -17,7 +15,6 @@ from .dynamics import (
     classify,
     ind,
     trajectory,
-    triple_class,
 )
 from .errors import CacheError, CapExceededError, CoverageError
 from .parents import (
@@ -29,7 +26,6 @@ from .parents import (
     find_c3_parents,
     find_parents,
     window_bounds,
-    window_primes,
 )
 from .primes import (
     PrimeTable,
@@ -48,13 +44,11 @@ from .variance import (
 
 __all__ = [
     "CacheError",
-    "CapExceeded",
     "CapExceededError",
     "CoverageError",
     "ParentCensus",
     "ParentQuery",
     "PrimeTable",
-    "ReachedTwenty",
     "SequenceSample",
     "Trajectory",
     "Triple",
@@ -76,9 +70,7 @@ __all__ = [
     "residue_count_variance",
     "residue_counts",
     "trajectory",
-    "triple_class",
     "window_bounds",
-    "window_primes",
 ]
 
 __version__ = "0.1.0"

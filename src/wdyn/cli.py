@@ -36,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("WDYN_CACHE_DIR") or None
-
-
 def _grid(text: str) -> list[int]:
     try:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -51,8 +47,8 @@ def _grid(text: str) -> list[int]:
 
 
 def _build(limit: int, args) -> PrimeTable:
-    logger.info("building prime table to %d ...", limit)
-    return build_prime_table(limit, cache_dir=_cache_dir(args))
+    cache_dir = args.cache_dir or os.environ.get("WDYN_CACHE_DIR") or None
+    return build_prime_table(limit, cache_dir=cache_dir)
 
 
 def _csv_line(row: tuple) -> str:
@@ -105,15 +101,14 @@ def cmd_traj(args) -> int:
     else:
         print(" -> ".join(str(t.n) for t in traj.steps))
         if traj.reached:
-            print(f"ind = {traj.terminal.index}")
+            print(f"ind = {traj.index}")
         else:
-            print(f"did not reach 20 within cap {traj.terminal.cap}")
+            print(f"did not reach 20 within cap {traj.cap}")
     return 0 if traj.reached else 2
 
 
 def cmd_ind(args) -> int:
-    n = args.n
-    print(f"ind({n}) = {ind(_build(POINT_LIMIT, args), n, cap=args.cap)}")
+    print(f"ind({args.n}) = {ind(_build(POINT_LIMIT, args), args.n, cap=args.cap)}")
     return 0
 
 
@@ -173,11 +168,10 @@ def cmd_census(args) -> int:
 
 def cmd_lemma2(args) -> int:
     try:
-        lines = Path(args.file).read_text().split()
+        tokens = Path(args.file).read_text().split()
     except OSError as exc:
         raise CacheError(f"cannot read {args.file}: {exc}") from exc
-    values = [int(tok) for tok in lines]
-    sample = SequenceSample.from_values(values, bound=args.N)
+    sample = SequenceSample.from_values(tokens, bound=args.N)
     report = residue_count_variance(sample, args.X)
     print(
         f"X={args.X} N={sample.bound} Z={sample.size} lhs={report.lhs} "

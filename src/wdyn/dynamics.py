@@ -30,7 +30,6 @@ class TripleClass(enum.Enum):
     C3 = "c3"  # three distinct primes
     B3 = "b3"  # exactly two equal
     D3 = "d3"  # prime cube
-    NOT_TRIPLE = "not_triple"  # fewer or more than 3 prime factors
 
 
 @dataclass(frozen=True, order=True)
@@ -66,43 +65,27 @@ class Triple:
     def in_a3(self) -> bool:
         return self.cls in (TripleClass.C3, TripleClass.B3)
 
-    def __str__(self) -> str:
-        return f"{self.p1}*{self.p2}*{self.p3}={self.n}"
-
-
-@dataclass(frozen=True)
-class ReachedTwenty:
-    """Orbit hit 20 at step ``index`` (w^index(n) = 20)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class CapExceeded:
-    """Orbit did not reach 20 within ``cap`` applications of w."""
-
-    cap: int
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Orbit n, w(n), w^2(n), ... with terminal status."""
+    """Orbit n, w(n), w^2(n), ... and where it stopped: ``index`` is the
+    least i with w^i(n) = 20, or None if ``cap`` steps ran out first."""
 
-    start: Triple
     steps: tuple[Triple, ...]
-    terminal: ReachedTwenty | CapExceeded
+    index: int | None
+    cap: int
 
     @property
     def reached(self) -> bool:
-        return isinstance(self.terminal, ReachedTwenty)
+        return self.index is not None
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.terminal, ReachedTwenty):
-            terminal = {"reached_twenty": self.terminal.index}
+        if self.reached:
+            terminal = {"reached_twenty": self.index}
         else:
-            terminal = {"cap_exceeded": self.terminal.cap}
+            terminal = {"cap_exceeded": self.cap}
         return {
-            "start": self.start.n,
+            "start": self.steps[0].n,
             "steps": [t.n for t in self.steps],
             "terminal": terminal,
         }
@@ -120,12 +103,6 @@ def classify(table: PrimeTable, n: int) -> Triple | None:
     if len(factors) != 3:
         return None
     return Triple(factors[0], factors[1], factors[2])
-
-
-def triple_class(table: PrimeTable, n: int) -> TripleClass:
-    """Class tag of n: C3, B3, D3, or NOT_TRIPLE."""
-    t = classify(table, n)
-    return TripleClass.NOT_TRIPLE if t is None else t.cls
 
 
 def apply_w(table: PrimeTable, t: Triple) -> Triple:
@@ -164,8 +141,8 @@ def trajectory(
     while t.n != 20 and len(steps) <= cap:
         t = apply_w(table, t)
         steps.append(t)
-    terminal = ReachedTwenty(len(steps) - 1) if t.n == 20 else CapExceeded(cap)
-    return Trajectory(start=steps[0], steps=tuple(steps), terminal=terminal)
+    index = len(steps) - 1 if t.n == 20 else None
+    return Trajectory(steps=tuple(steps), index=index, cap=cap)
 
 
 def ind(table: PrimeTable, n: int, cap: int = DEFAULT_CAP) -> int:
@@ -174,6 +151,6 @@ def ind(table: PrimeTable, n: int, cap: int = DEFAULT_CAP) -> int:
     terminate, so cap exhaustion signals a bug or a too-small cap).
     """
     traj = trajectory(table, n, cap=cap)
-    if isinstance(traj.terminal, CapExceeded):
+    if traj.index is None:
         raise CapExceededError(f"orbit of {n} did not reach 20 within cap {cap}", cap=cap)
-    return traj.terminal.index
+    return traj.index

@@ -84,16 +84,13 @@ def census_c3(table: PrimeTable, x: int, mode: str) -> dict[int, int]:
         pivots = ((r_ab, r_ac), (r_ab, r_bc), (r_ac, r_bc))
         if mode == "thm1":
             ok = any(in_window(u) and in_window(v) for u, v in pivots)
-            distinct = len({r_ab, r_ac, r_bc}) == 3
-            if ok and distinct:
-                n = r_ab * r_ac * r_bc
-                tally[n] = tally.get(n, 0) + 1
+            shape = len({r_ab, r_ac, r_bc}) == 3  # three distinct primes
         else:
             ok = any(u == v and in_window(u) for u, v in pivots)
-            two_equal = len({r_ab, r_ac, r_bc}) == 2
-            if ok and two_equal:
-                n = r_ab * r_ac * r_bc
-                tally[n] = tally.get(n, 0) + 1
+            shape = len({r_ab, r_ac, r_bc}) == 2  # exactly two equal
+        if ok and shape:
+            n = r_ab * r_ac * r_bc
+            tally[n] = tally.get(n, 0) + 1
     return tally
 
 

@@ -41,12 +41,6 @@ def window_bounds(x: int) -> tuple[int, int]:
     return int(edge), int(2 * edge)
 
 
-def window_primes(table: PrimeTable, x: int) -> list[int]:
-    """Primes inside the middle-prime window for this x."""
-    r_lo, r_hi = window_bounds(x)
-    return primes_in_range(table, r_lo, r_hi).tolist()
-
-
 def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     """All primes p in (x, 2x] with p != q and P(p + q) = r.
 

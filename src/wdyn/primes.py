@@ -124,12 +124,16 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
         path = Path(cache_dir) / f"sieve-{limit}.wdynsieve"
         if path.exists():
             try:
-                return _load_table(path, limit)
+                table = _load_table(path, limit)
             except CacheError as exc:
                 logger.warning("sieve cache %s unusable (%s); rebuilding", path, exc)
+            else:
+                logger.info("loaded prime table to %d from %s", limit, path)
+                return table
 
+    logger.info("building prime table to %d ...", limit)
     spf, prime_mask = _spf_sieve(limit)
-    primes = np.nonzero(prime_mask)[0].astype(np.int64)
+    primes = np.flatnonzero(prime_mask).astype(np.int64, copy=False)
     table = PrimeTable(limit=limit, is_prime=prime_mask, spf=spf, primes=primes)
 
     if path is not None:
@@ -186,7 +190,7 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     spf = np.frombuffer(raw, dtype="<u4", offset=head + nbits)
     if is_prime[:2].any() or spf[2] != 2 or (limit >= 3 and spf[3] != 3):
         raise CacheError("payload fails sanity check")
-    primes = np.nonzero(is_prime)[0].astype(np.int64)
+    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
     return PrimeTable(limit=limit, is_prime=is_prime, spf=spf, primes=primes)
 
 
@@ -209,8 +213,6 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
 def largest_prime_factor(table: PrimeTable, n: int) -> int:
     """Largest prime factor P(n) of an integer n > 1, with the reach of
     :func:`factor_list` (n below ``MR_BOUND``)."""
-    if n < 2:
-        raise ValueError(f"P(n) requires n > 1, got {n}")
     return factor_list(table, n)[-1]
 
 

@@ -18,7 +18,6 @@ rounded num_r / r**2 beyond it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, log
@@ -32,18 +31,13 @@ from .primes import PrimeTable, primes_in_range
 EXACT_X_CUTOFF = 1000  # progression lhs is an exact Fraction up to here, a float beyond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceSample:
-    """Distinct positive integers, each at most ``bound``."""
+    """Distinct positive integers, each at most ``bound``, as an
+    ascending int64 array checked by :meth:`from_values`."""
 
-    values: tuple[int, ...]
+    values: np.ndarray
     bound: int
-
-    def __post_init__(self):
-        if len(set(self.values)) != len(self.values):
-            raise ValueError("sample values must be distinct")
-        if self.values and (min(self.values) < 1 or max(self.values) > self.bound):
-            raise ValueError(f"sample values must lie in [1, {self.bound}]")
 
     @property
     def size(self) -> int:
@@ -51,10 +45,18 @@ class SequenceSample:
 
     @staticmethod
     def from_values(values, bound: int | None = None) -> "SequenceSample":
-        vals = tuple(int(v) for v in values)
+        try:
+            vals = np.array([int(v) for v in values], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("sample values must lie in [1, 2**63)") from None
+        unique = np.unique(vals)
+        if len(unique) != len(vals):
+            raise ValueError("sample values must be distinct")
         if bound is None:
-            bound = max(vals) if vals else 1
-        return SequenceSample(values=vals, bound=bound)
+            bound = int(unique[-1]) if len(unique) else 1
+        if len(unique) and (unique[0] < 1 or int(unique[-1]) > bound):
+            raise ValueError(f"sample values must lie in [1, {bound}]")
+        return SequenceSample(values=unique, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,6 @@ class VarianceReport:
             out["window"] = list(self.window)
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     def to_csv_row(self) -> tuple:
         lhs = str(self.lhs) if isinstance(self.lhs, Fraction) else self.lhs
         return (self.scale, lhs, self.bound_value, self.ratio)
@@ -104,10 +103,7 @@ def residue_counts(sample: SequenceSample, r: int) -> np.ndarray:
     """
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got {r}")
-    return _residue_counts(np.asarray(sample.values, dtype=np.int64), r)
-
-
-def _residue_counts(vals: np.ndarray, r: int) -> np.ndarray:
+    vals = sample.values
     return np.bincount(vals - vals // r * r, minlength=r)  # vals % r, without the slower int64 %
 
 
@@ -122,10 +118,9 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
     if x_bound < 2:
         raise ValueError(f"modulus cutoff must be >= 2, got {x_bound}")
     z = sample.size
-    vals = np.asarray(sample.values, dtype=np.int64)
     total = 0
     for r in range(1, x_bound + 1):
-        counts = _residue_counts(vals, r)
+        counts = residue_counts(sample, r)
         total += r * int(np.dot(counts, counts)) - z * z
     bound = float((sample.bound + x_bound * x_bound) * z)
     return VarianceReport(

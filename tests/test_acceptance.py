@@ -26,7 +26,6 @@ from wdyn import (
     residue_count_variance,
     residue_counts,
     window_bounds,
-    window_primes,
 )
 from wdyn import oracle
 
@@ -120,7 +119,7 @@ def test_c3_oracle_equivalence(table_x300):
     x in {100, 200, 300}."""
     for x in (100, 200, 300):
         qs = primes_in_range(table_x300, x, 2 * x).tolist()
-        rs = window_primes(table_x300, x)
+        rs = primes_in_range(table_x300, *window_bounds(x)).tolist()
         for q in qs:
             for r in rs:
                 assert find_b3_parents(table_x300, q, r, x) == oracle.find_b3_parents(

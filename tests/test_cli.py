@@ -224,6 +224,15 @@ def test_lemma2_command(capsys, tmp_path):
     assert "Z=11" in out
 
 
+@pytest.mark.parametrize("bad", [str(2**63), "abc"])
+def test_lemma2_bad_value_is_an_error_line(capsys, tmp_path, bad):
+    vals = tmp_path / "vals.txt"
+    vals.write_text(f"5\n{bad}\n")
+    code, _, err = run(capsys, "lemma2", "--file", str(vals), "--X", "5")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_lemma2_missing_file(capsys):
     code, _, err = run(capsys, "lemma2", "--file", "/does/not/exist.txt", "--X", "3")
     assert code == 3

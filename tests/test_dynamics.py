@@ -16,9 +16,7 @@ from wdyn import (
     ind,
     primes_in_range,
     trajectory,
-    triple_class,
 )
-from wdyn.dynamics import CapExceeded, ReachedTwenty
 
 
 def test_classify_examples(table_10k):
@@ -30,8 +28,7 @@ def test_classify_examples(table_10k):
     assert classify(table_10k, 12) == Triple(2, 2, 3)  # 2^2 * 3 has three factors
     assert classify(table_10k, 16) is None  # 2^4 has four
     assert classify(table_10k, 7) is None
-    assert triple_class(table_10k, 16) is TripleClass.NOT_TRIPLE
-    assert triple_class(table_10k, 63) is TripleClass.B3
+    assert classify(table_10k, 63).cls is TripleClass.B3
 
 
 def test_classify_domain_error(table_10k):
@@ -84,16 +81,16 @@ def test_apply_w_symmetric_in_inputs(table_10k, data):
 def test_trajectory_at_twenty(table_10k):
     traj = trajectory(table_10k, 20, cap=10)
     assert [t.n for t in traj.steps] == [20]
-    assert traj.terminal == ReachedTwenty(0)
+    assert traj.index == 0
 
 
 def test_trajectory_examples(table_10k):
     traj = trajectory(table_10k, 75, cap=10)
     assert [t.n for t in traj.steps] == [75, 20]
-    assert traj.terminal == ReachedTwenty(1)
+    assert traj.index == 1
     traj = trajectory(table_10k, 98, cap=10)
     assert [t.n for t in traj.steps] == [98, 63, 75, 20]
-    assert traj.terminal == ReachedTwenty(3)
+    assert traj.index == 3
 
 
 def test_trajectory_steps_are_linked(table_10k):
@@ -105,7 +102,7 @@ def test_trajectory_steps_are_linked(table_10k):
 
 def test_trajectory_cap_exceeded_is_a_status(table_10k):
     traj = trajectory(table_10k, 98, cap=2)
-    assert traj.terminal == CapExceeded(2)
+    assert traj.index is None and traj.cap == 2
     assert [t.n for t in traj.steps] == [98, 63, 75]
 
 
@@ -144,7 +141,7 @@ def test_ind_cap_exhaustion_names_cap(table_10k):
     assert "2" in str(err.value)
 
 
-def test_auto_extend_grows_tiny_table():
+def test_orbit_factored_past_limit_3_table():
     tiny = build_prime_table(3)
     # 1058 = 2 * 23^2 is far beyond the tiny table; factoring reaches past it
     traj = trajectory(tiny, 1058, cap=100)
@@ -175,4 +172,4 @@ def test_triple_canonical_order_and_repr():
     assert t == Triple(2, 7, 7)
     assert t.n == 98
     assert t.cls is TripleClass.B3
-    assert str(t) == "2*7*7=98"
+    assert repr(t) == "Triple(p1=2, p2=7, p3=7)"  # how error messages name a triple

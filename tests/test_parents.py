@@ -17,7 +17,6 @@ from wdyn import (
     find_parents,
     primes_in_range,
     window_bounds,
-    window_primes,
 )
 from wdyn import oracle
 
@@ -28,15 +27,15 @@ def test_window_bounds_examples():
     assert window_bounds(10_000) == (921, 1842)
 
 
-def test_window_primes(table_x300):
-    rs = window_primes(table_x300, 100)
+def test_primes_in_window(table_x300):
+    rs = primes_in_range(table_x300, *window_bounds(100)).tolist()
     assert rs == [47, 53, 59, 61, 67, 71, 73, 79, 83, 89]
 
 
 def test_find_b3_parents_matches_oracle(table_x300):
     x = 100
     qs = primes_in_range(table_x300, x, 2 * x).tolist()
-    rs = window_primes(table_x300, x) + [17, 23]  # include off-window r
+    rs = primes_in_range(table_x300, *window_bounds(x)).tolist() + [17, 23]  # include off-window r
     nonempty = 0
     for q in qs:
         for r in rs:

@@ -236,6 +236,16 @@ def test_cache_roundtrip(tmp_path):
     assert not again.spf.flags.owndata  # a view of the file's bytes, not a copy
 
 
+def test_cache_hit_logs_load_not_build(tmp_path, caplog):
+    with caplog.at_level("INFO", logger="wdyn.primes"):
+        build_prime_table(5000, cache_dir=tmp_path)
+        assert "building prime table to 5000" in caplog.text
+        caplog.clear()
+        build_prime_table(5000, cache_dir=tmp_path)
+    assert f"loaded prime table to 5000 from {tmp_path / 'sieve-5000.wdynsieve'}" in caplog.text
+    assert "building" not in caplog.text
+
+
 def test_cache_corruption_falls_back(tmp_path, caplog):
     build_prime_table(5000, cache_dir=tmp_path)
     path = tmp_path / "sieve-5000.wdynsieve"

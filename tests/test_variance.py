@@ -60,12 +60,25 @@ def test_residue_counts_validation():
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        SequenceSample(values=(1, 1, 2), bound=10)
+        SequenceSample.from_values([1, 1, 2], bound=10)
     with pytest.raises(ValueError):
-        SequenceSample(values=(0, 2), bound=10)
+        SequenceSample.from_values([0, 2], bound=10)
     with pytest.raises(ValueError):
-        SequenceSample(values=(2, 11), bound=10)
+        SequenceSample.from_values([2, 11], bound=10)
+    with pytest.raises(ValueError):
+        SequenceSample.from_values([11, 2], bound=10)  # the range check sees the largest, not the last
     assert SequenceSample.from_values([]).size == 0
+    assert SequenceSample.from_values([5, 3]).bound == 5
+
+
+def test_sample_values_below_2_pow_63():
+    sample = SequenceSample.from_values([5, 2**63 - 1])
+    assert sample.values.tolist() == [5, 2**63 - 1]
+    assert residue_counts(sample, 2).tolist() == [0, 2]
+    assert residue_count_variance(sample, 3).lhs == oracle.residue_variance([5, 2**63 - 1], 3)
+    for vals in ([5, 2**63], [5, -(2**63) - 1]):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            SequenceSample.from_values(vals)
 
 
 @settings(max_examples=80, deadline=None)
