@@ -20,6 +20,7 @@ from wdyn import (
     find_parents,
     primes_in_range,
 )
+from wdyn import oracle
 
 
 def fmt(t: Triple) -> str:
@@ -36,12 +37,17 @@ print()
 print("=== C3 target ===")
 target = apply_w(table, Triple(101, 103, 107))
 print(f"target: w(101*103*107) = {fmt(target)} ({target.cls.value})")
-for use_oracle in (False, True):
+routes = {
+    "accelerated": lambda: find_parents(table, ParentQuery(target=target, x=x)),
+    "brute force": lambda: sorted(oracle.find_c3_parents(table, target, x)),
+}
+found = {}
+for label, search in routes.items():
     t0 = time.perf_counter()
-    parents = find_parents(table, ParentQuery(target=target, x=x), use_oracle=use_oracle)
+    found[label] = parents = search()
     dt = (time.perf_counter() - t0) * 1000
-    label = "brute force" if use_oracle else "accelerated"
     print(f"  {label:>11}: {len(parents)} parents in {dt:7.2f} ms")
+assert found["accelerated"] == found["brute force"]
 for p in parents:
     assert apply_w(table, p).n == target.n
     print(f"    {fmt(p)}")

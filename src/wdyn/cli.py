@@ -41,8 +41,8 @@ def _grid(text: str) -> list[int]:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad x grid {text!r}; expected a,b,c")
-    if not grid or any(x < 10 for x in grid) or grid != sorted(grid):
-        raise argparse.ArgumentTypeError("x grid must be ascending integers, each >= 10")
+    if not grid or grid[0] < 10 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError("x grid must be strictly ascending integers, each >= 10")
     return grid
 
 
@@ -124,7 +124,7 @@ def cmd_parents(args) -> int:
         limit = max(limit, 2 * x + q)
     table = _build(limit, args)
     query = ParentQuery(target=target, x=x, parent_class=args.parent_class)
-    parents = find_parents(table, query, use_oracle=args.oracle)
+    parents = find_parents(table, query)
     print(f"target {n} = {target.p1}*{target.p2}*{target.p3} ({target.cls.value})")
     print(f"{args.parent_class}-parents in ({x}, {2 * x}]: count={len(parents)}")
     if args.list:
@@ -230,7 +230,6 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=int, required=True, help="parents drawn from primes in (x, 2x]")
     p.add_argument("--class", dest="parent_class", choices=("c3", "b3", "any"), default="any")
     p.add_argument("--list", action="store_true", help="print every parent")
-    p.add_argument("--oracle", action="store_true", help="force the brute-force reference path")
     p.set_defaults(func=cmd_parents)
 
     p = sub.add_parser("census", parents=[common, output], help="parent census over an x grid")

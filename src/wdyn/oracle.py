@@ -4,9 +4,9 @@ These scan every candidate and evaluate P directly, with none of the
 congruence shortcuts used by the production paths in ``parents``, and
 read P from their own direct sieve (:func:`lpf_array`) rather than the
 spf-derived array the production paths share.  They exist to
-cross-check: the test suite asserts exact agreement at small x, and the
-CLI exposes them behind ``--oracle``.  Keep them simple and keep them
-independent: the only shared machinery is the PrimeTable.
+cross-check: the test suite asserts exact agreement at small x.  Keep
+them simple and keep them independent: the only shared machinery is
+the PrimeTable.
 """
 
 from __future__ import annotations

@@ -59,11 +59,11 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
         )
     if r > hi:
         return []  # P(p + q) = r needs r <= p + q <= 2x + q
-    if not table.is_prime[q] or not table.is_prime[r]:
+    if min(q, r) < 2 or table.spf[q] != q or table.spf[r] != r:  # spf[0], spf[1] are 0, 1
         raise ValueError(f"q and r must be prime, got q={q}, r={r}")
     sums = np.arange((x + q) // r * r + r, hi + 1, r)
     p = sums[largest_prime_factors(table, hi)[sums] == r] - q
-    return p[table.is_prime[p] & (p != q)].tolist()
+    return p[(table.spf[p] == p) & (p != q)].tolist()
 
 
 def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +107,14 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
         owner, idx = _ragged(lo[base][blk], lens[base][blk])
         a = ps[idx]
         b = sums[base][blk][owner] - a
-        keep = table.is_prime[b]
+        keep = table.spf[b] == b
         a, b = a[keep], b[keep]
         for u, v in ((a, b), (b, a)) if m2 != m3 else ((a, b),):
             key = (u - v) % m3
             start = np.searchsorted(res, key)
             owner, idx = _ragged(start, np.searchsorted(res, key, side="right") - start)
             c = s2[idx] - u[owner]
-            hit = (c > x) & (c <= 2 * x) & table.is_prime[c]  # then v + c <= 4x, inside lpf
+            hit = (c > x) & (c <= 2 * x) & (table.spf[c] == c)  # then v + c <= 4x, inside lpf
             owner, c = owner[hit], c[hit]
             hit = (lpf[v[owner] + c] == m3) & (c != u[owner]) & (c != v[owner])
             found.append(np.stack([u[owner[hit]], v[owner[hit]], c[hit]], axis=1))
@@ -298,23 +298,18 @@ class ParentQuery:
             raise ValueError(f"parent_class must be c3, b3 or any, got {self.parent_class!r}")
 
 
-def find_parents(table: PrimeTable, query: ParentQuery, use_oracle: bool = False) -> list[Triple]:
+def find_parents(table: PrimeTable, query: ParentQuery) -> list[Triple]:
     """All parents of the query target with primes drawn from (x, 2x],
     restricted to the requested parent class.
 
     B3 parents exist only for B3 targets (the image of p*q**2 always
-    repeats a prime), so C3 targets yield none.  ``use_oracle`` routes
-    through the brute-force reference implementations.
+    repeats a prime), so C3 targets yield none.
     """
-    from . import oracle
-
     out: list[Triple] = []
     if query.parent_class in ("c3", "any"):
-        fn = oracle.find_c3_parents if use_oracle else find_c3_parents
-        out.extend(fn(table, query.target, query.x))
+        out.extend(find_c3_parents(table, query.target, query.x))
     if query.parent_class in ("b3", "any") and query.target.cls == TripleClass.B3:
         a, b, c = query.target.primes
         q, r = (c, a) if a == b else (a, b)  # q appears once, r twice
-        fn = oracle.find_b3_parents if use_oracle else find_b3_parents
-        out.extend(Triple.from_primes(p, q, q) for p in fn(table, q, r, query.x))
+        out.extend(Triple.from_primes(p, q, q) for p in find_b3_parents(table, q, r, query.x))
     return sorted(out)

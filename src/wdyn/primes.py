@@ -2,7 +2,9 @@
 
 Everything downstream (orbit iteration, parent searches, variance sums)
 queries primes through a :class:`PrimeTable`: a smallest-prime-factor
-sieve over ``[2, limit]`` plus the sorted prime list.  The table is
+sieve over ``[2, limit]`` plus the sorted prime list derived from it.
+Primality is read from the sieve alone, as ``spf[n] == n``, and the
+binary cache stores the spf array and nothing else.  The table is
 immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
@@ -32,8 +34,8 @@ from .errors import CacheError, CoverageError
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"WDYNSIEV"
-CACHE_VERSION = 2
-CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the payload
+CACHE_VERSION = 3
+CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the u32 spf payload
 
 # Miller–Rabin on these bases is exact below MR_BOUND, itself the least
 # strong pseudoprime to all of them (Sorenson & Webster 2015)
@@ -51,19 +53,16 @@ class PrimeTable:
     ----------
     limit : int
         Inclusive upper bound of sieve coverage.
-    is_prime : np.ndarray
-        Boolean array of length ``limit + 1``; ``is_prime[n]`` for n in
-        [0, limit] (entries 0 and 1 are False).
     spf : np.ndarray
         uint32 array of length ``limit + 1``; ``spf[n]`` is the smallest
-        prime factor of n for n in [2, limit], with ``spf[p] == p``
-        exactly when p is prime.  Entries 0 and 1 are sentinels.
+        prime factor of n for n in [2, limit]; n >= 2 is prime exactly
+        when ``spf[n] == n``.  Entries 0 and 1 are sentinels equal to
+        their index, so a primality read must also check n >= 2.
     primes : np.ndarray
         int64 array of all primes <= limit, strictly increasing.
     """
 
     limit: int
-    is_prime: np.ndarray
     spf: np.ndarray
     primes: np.ndarray
 
@@ -71,8 +70,8 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-prime-factor array over [0, limit] plus the prime mask.
+def _spf_sieve(limit: int) -> np.ndarray:
+    """Smallest-prime-factor array over [0, limit].
 
     ``spf`` starts as ``arange(limit + 1)`` (so 0 and 1 are their own
     sentinels) and is sieved in segments of ``_SEGMENT`` entries, small
@@ -90,15 +89,26 @@ def _spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
             flags[p * p :: p] = False
     small = np.nonzero(flags)[0].tolist()
     spf = np.arange(limit + 1, dtype=np.uint32)
-    is_prime = np.empty(limit + 1, dtype=bool)
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         block = spf[lo:hi]
         for p in reversed(small[: bisect_left(small, isqrt(hi - 1) + 1)]):  # p**2 < hi
             block[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        np.equal(block, np.arange(lo, hi, dtype=np.uint32), out=is_prime[lo:hi])
-    is_prime[:2] = False
-    return spf, is_prime
+    return spf
+
+
+def _primes_of(spf: np.ndarray) -> np.ndarray:
+    """The n >= 2 with spf[n] == n, as int64, ``_SEGMENT`` entries at a
+    time, so no array over the whole table is made.  A composite n has
+    spf[n] <= isqrt(n), so a segment [lo, hi) with lo**2 >= hi (any past
+    the first) holds its primes at the slots >= lo: a scalar compare."""
+    parts = []
+    for lo in range(2, len(spf), _SEGMENT):
+        block = spf[lo : lo + _SEGMENT]
+        hi = lo + len(block)
+        top = lo if lo * lo >= hi else np.arange(lo, hi, dtype=np.uint32)  # spf[n] >= n: n is prime
+        parts.append(np.flatnonzero(block >= top) + lo)
+    return np.concatenate(parts).astype(np.int64, copy=False)
 
 
 def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
@@ -132,9 +142,8 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
                 return table
 
     logger.info("building prime table to %d ...", limit)
-    spf, prime_mask = _spf_sieve(limit)
-    primes = np.flatnonzero(prime_mask).astype(np.int64, copy=False)
-    table = PrimeTable(limit=limit, is_prime=prime_mask, spf=spf, primes=primes)
+    spf = _spf_sieve(limit)
+    table = PrimeTable(limit=limit, spf=spf, primes=_primes_of(spf))
 
     if path is not None:
         try:
@@ -146,16 +155,14 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
 
 def _save_table(table: PrimeTable, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    bits = np.packbits(table.is_prime.view(np.uint8), bitorder="little")
     spf = np.ascontiguousarray(table.spf, dtype="<u4")  # no copy on a little-endian host
-    crc = zlib.crc32(spf, zlib.crc32(bits))
+    crc = zlib.crc32(spf)
     header = struct.pack(CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, table.limit, crc)
     # a name of its own per writer, so concurrent builds never share a temp file
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(header)
-            fh.write(bits)
             fh.write(spf)
         tmp.replace(path)
     except BaseException:
@@ -178,20 +185,15 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
         raise CacheError(f"format version {version} != {CACHE_VERSION}")
     if stored_limit != limit:
         raise CacheError(f"cached limit {stored_limit} != requested {limit}")
-    nbits = (limit + 1 + 7) // 8
-    expected = head + nbits + 4 * (limit + 1)
+    expected = head + 4 * (limit + 1)
     if len(raw) != expected:
         raise CacheError(f"payload size {len(raw)} != expected {expected}")
     if zlib.crc32(memoryview(raw)[head:]) != crc:
         raise CacheError("payload checksum mismatch")
-    bits = np.frombuffer(raw, dtype=np.uint8, count=nbits, offset=head)
-    # views, not copies: the table is never written to
-    is_prime = np.unpackbits(bits, count=limit + 1, bitorder="little").view(bool)
-    spf = np.frombuffer(raw, dtype="<u4", offset=head + nbits)
-    if is_prime[:2].any() or spf[2] != 2 or (limit >= 3 and spf[3] != 3):
+    spf = np.frombuffer(raw, dtype="<u4", offset=head)  # a view, not a copy: never written to
+    if spf[:4].tolist() != [0, 1, 2, 3][: limit + 1]:
         raise CacheError("payload fails sanity check")
-    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    return PrimeTable(limit=limit, is_prime=is_prime, spf=spf, primes=primes)
+    return PrimeTable(limit=limit, spf=spf, primes=_primes_of(spf))
 
 
 def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
@@ -238,7 +240,7 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     return lpf
 
 
-def _is_prime(n: int) -> bool:
+def _miller_rabin(n: int) -> bool:
     """Miller–Rabin on MR_BASES; exact for n < MR_BOUND."""
     if any(n % p == 0 for p in MR_BASES):
         return n in MR_BASES
@@ -294,7 +296,7 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
                 p = int(table.spf[m])
                 out.append(p)
                 m //= p
-        elif _is_prime(m):
+        elif _miller_rabin(m):
             out.append(m)
         else:
             d = _rho(m)

@@ -148,7 +148,9 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
         )
     r_lo, r_hi = window_bounds(x)
     rs = primes_in_range(table, r_lo, r_hi).tolist()
-    nums = _progression_numerators(table.is_prime[x + 1 : 2 * x + 1], x, rs)
+    box = np.zeros(x, dtype=np.uint8)  # box[i] marks x + 1 + i
+    box[primes_in_range(table, x, 2 * x) - (x + 1)] = 1
+    nums = _progression_numerators(box, x, rs)
     if x <= EXACT_X_CUTOFF:
         lhs = sum((Fraction(num, r * r) for num, r in zip(nums, rs)), Fraction(0))
     else:

@@ -121,13 +121,6 @@ def test_parents_count_equals_listing(capsys):
     assert count == len(listed) == 10
 
 
-def test_parents_oracle_flag_gives_identical_output(capsys):
-    code_a, out_a, _ = run(capsys, "parents", "1547", "--x", "100", "--list")
-    code_b, out_b, _ = run(capsys, "parents", "1547", "--x", "100", "--list", "--oracle")
-    assert code_a == code_b == 0
-    assert out_a == out_b
-
-
 def test_parents_b3_class_on_c3_target_is_empty(capsys):
     code, out, _ = run(capsys, "parents", "1547", "--x", "100", "--class", "b3")
     assert code == 0
@@ -213,6 +206,14 @@ def test_census_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--x-grid", "100"])  # missing required --mode
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("grid", ["", "abc", "5", "300,100", "300,300"])
+def test_census_bad_x_grid_is_a_usage_error(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--mode", "thm3", "--x-grid", grid])
+    assert exc.value.code == 1
+    assert "x grid" in capsys.readouterr().err
 
 
 def test_lemma2_command(capsys, tmp_path):

@@ -56,6 +56,9 @@ def test_find_b3_parents_specific_values(table_x300):
 def test_find_b3_parents_validates_inputs(table_x300):
     with pytest.raises(ValueError):
         find_b3_parents(table_x300, 100, 7, 100)  # q not prime
+    for q in (1, 0):  # spf[1] == 1 and spf[0] == 0 are sentinels, not primes
+        with pytest.raises(ValueError):
+            find_b3_parents(table_x300, q, 7, 100)
     with pytest.raises(CoverageError):
         find_b3_parents(table_x300, 101, 7, 600)  # needs limit >= 1301
 
@@ -93,7 +96,11 @@ def test_find_parents_matches_oracle_at_x1000(table_x10k, n):
     target = classify(table_x10k, n)
     query = ParentQuery(target=target, x=1000, parent_class="any")
     got = find_parents(table_x10k, query)
-    assert got == find_parents(table_x10k, query, use_oracle=True)
+    want = oracle.find_c3_parents(table_x10k, target, 1000)
+    if target.cls is TripleClass.B3:
+        q, r = (target.p3, target.p1) if target.p1 == target.p2 else (target.p1, target.p2)
+        want += [Triple.from_primes(p, q, q) for p in oracle.find_b3_parents(table_x10k, q, r, 1000)]
+    assert got == sorted(want)
     assert len(got) > 0
     for parent in got:
         assert apply_w(table_x10k, parent).n == n
@@ -196,13 +203,11 @@ def test_c3_targets_have_no_b3_parents(table_x300):
     assert target.cls is TripleClass.C3
     query = ParentQuery(target=target, x=100, parent_class="b3")
     assert find_parents(table_x300, query) == []
-    assert find_parents(table_x300, query, use_oracle=True) == []
-
-
-def test_find_parents_oracle_flag_is_equivalent(table_x300):
-    target = apply_w(table_x300, Triple(101, 103, 107))
-    query = ParentQuery(target=target, x=100, parent_class="any")
-    assert find_parents(table_x300, query) == find_parents(table_x300, query, use_oracle=True)
+    # the oracle's B3 parents p*q**2 with P(p + q) a target prime map to q*r**2, never to the target
+    for q in primes_in_range(table_x300, 100, 200).tolist():
+        for r in target.primes:
+            for p in oracle.find_b3_parents(table_x300, q, r, 100):
+                assert apply_w(table_x300, Triple.from_primes(p, q, q)).n == q * r * r != target.n
 
 
 def test_parent_query_validation(table_x300):

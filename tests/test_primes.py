@@ -1,5 +1,6 @@
 """Prime engine tests, checked against independent naive oracles."""
 
+import struct
 import zlib
 from math import prod
 
@@ -70,12 +71,12 @@ def assert_spf_invariants(table):
     n = np.arange(2, table.limit + 1)
     spf = table.spf[2:].astype(np.int64)
     assert np.all(n % spf == 0)
-    assert table.is_prime[spf].all()
-    assert np.array_equal(spf == n, table.is_prime[2:])
+    assert np.all(table.spf[spf] == spf)  # every spf value is a prime
+    assert np.array_equal(n[spf == n], table.primes)
     # spf(n) is the smallest prime factor exactly when n / spf(n) has none smaller
     q = n // spf
     assert np.all((q < 2) | (table.spf[q] >= spf))
-    assert table.spf[0] == 0 and table.spf[1] == 1 and not table.is_prime[:2].any()
+    assert table.spf[0] == 0 and table.spf[1] == 1
 
 
 def test_spf_invariants(table_10k):
@@ -98,7 +99,10 @@ def test_segment_boundaries(monkeypatch, segment):
 
 
 def test_primes_list_matches_is_prime(table_10k):
-    assert np.array_equal(np.nonzero(table_10k.is_prime)[0], table_10k.primes)
+    # primality is spf[n] == n for n >= 2; 0 and 1 are sentinels equal to their index
+    n = np.arange(table_10k.limit + 1)
+    assert np.array_equal(np.flatnonzero((table_10k.spf == n) & (n >= 2)), table_10k.primes)
+    assert table_10k.primes.dtype == np.int64
     assert np.all(np.diff(table_10k.primes) > 0)
 
 
@@ -231,7 +235,6 @@ def test_cache_roundtrip(tmp_path):
     assert path.exists()
     again = build_prime_table(5000, cache_dir=tmp_path)
     assert np.array_equal(table.spf, again.spf)
-    assert np.array_equal(table.is_prime, again.is_prime)
     assert np.array_equal(table.primes, again.primes)
     assert not again.spf.flags.owndata  # a view of the file's bytes, not a copy
 
@@ -262,8 +265,7 @@ def test_cache_corrupt_spf_slot_falls_back(tmp_path, caplog):
     build_prime_table(200_000, cache_dir=tmp_path)
     path = tmp_path / "sieve-200000.wdynsieve"
     raw = bytearray(path.read_bytes())
-    head, nbits = 24, (200_001 + 7) // 8
-    slot = head + nbits + 4 * 99991  # spf of the prime 99991
+    slot = 24 + 4 * 99991  # spf of the prime 99991
     assert int.from_bytes(raw[slot : slot + 4], "little") == 99991
     raw[slot : slot + 4] = (7).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
@@ -288,18 +290,18 @@ def test_cache_format_fields(tmp_path):
     table = build_prime_table(100, cache_dir=tmp_path)
     raw = (tmp_path / "sieve-100.wdynsieve").read_bytes()
     assert raw[:8] == b"WDYNSIEV"
-    assert int.from_bytes(raw[8:12], "little") == 2  # format version
+    assert int.from_bytes(raw[8:12], "little") == 3  # format version
     assert int.from_bytes(raw[12:20], "little") == 100  # limit
     assert int.from_bytes(raw[20:24], "little") == zlib.crc32(raw[24:])  # payload checksum
-    # header + packed bits + u32 spf payload
-    assert len(raw) == 24 + (101 + 7) // 8 + 4 * 101
+    # header + u32 spf payload
+    assert len(raw) == 24 + 4 * 101
     loaded = _load_table(tmp_path / "sieve-100.wdynsieve", 100)
     assert np.array_equal(loaded.spf, table.spf)
 
 
-# payload checksums of caches written before the segmented sieve; a
-# match keeps old and new cache files interchangeable
-PINNED_CACHE_CRCS = {262_143: 0x4AF2A27F, 262_144: 0x45D8732A, 262_145: 0xC0F54C75, 10**6: 0x0ED0FDBC}
+# checksums of the spf section of format-2 caches, written before the
+# prime bit section was dropped; a match shows the sieve's bytes are unchanged
+PINNED_CACHE_CRCS = {262_143: 0x91877B38, 262_144: 0x15BCED36, 262_145: 0x474DCEFF, 10**6: 0xA9EF3602}
 
 
 @pytest.mark.parametrize("limit", PINNED_CACHE_CRCS)
@@ -308,6 +310,20 @@ def test_cache_bytes_pinned(tmp_path, limit):
     raw = (tmp_path / f"sieve-{limit}.wdynsieve").read_bytes()
     assert int.from_bytes(raw[20:24], "little") == PINNED_CACHE_CRCS[limit]
     assert zlib.crc32(raw[24:]) == PINNED_CACHE_CRCS[limit]
+
+
+def test_cache_format_2_is_rebuilt(tmp_path, caplog):
+    # a format-2 file as earlier versions wrote it: packed prime bits, then the spf array
+    table = build_prime_table(300)
+    bits = np.packbits(np.isin(np.arange(301), table.primes), bitorder="little")
+    payload = bits.tobytes() + table.spf.astype("<u4").tobytes()
+    path = tmp_path / "sieve-300.wdynsieve"
+    path.write_bytes(struct.pack("<8sIQI", b"WDYNSIEV", 2, 300, zlib.crc32(payload)) + payload)
+    with caplog.at_level("WARNING"):
+        again = build_prime_table(300, cache_dir=tmp_path)
+    assert "format version 2 != 3" in caplog.text and "rebuilding" in caplog.text
+    assert np.array_equal(again.primes, table.primes)
+    assert path.stat().st_size == 24 + 4 * 301  # rewritten as format 3
 
 
 def test_save_load_helpers_roundtrip(tmp_path):
