@@ -24,7 +24,7 @@ grid_pairs = [300, 1000, 3000, 10000]
 grid_triples = [300, 1000, 3000]
 table = build_prime_table(4 * max(grid_pairs) + 1)
 
-for mode, grid in (("thm3", grid_pairs), ("thm1", grid_triples), ("thm2", grid_triples)):
+for mode, grid in (("thm3", grid_pairs), ("thm1", grid_triples), ("thm2", grid_pairs)):
     print(f"=== {mode} ===")
     print(f"{'x':>7} {'window':>14} {'argmax image':>34} {'count':>6} {'ratio':>8} {'time':>8}")
     for x in grid:

@@ -12,7 +12,8 @@ Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
 toward the smallest image.  Censuses visit every pair, so they skip the
 congruence route: they read the same P array over [0, 4x] and process
-one pivot prime's row of pair sums at a time with numpy.
+the pair sums of the pivot primes with numpy, one row at a time (thm1,
+thm3) or in blocks of rows (thm2, which pairs partners of equal P only).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import CoverageError
 from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
 
 _JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
+_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in the thm2 census
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -238,27 +240,45 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
       prime r), giving images of the form q*r**2.
 
     Each qualifying triple is counted exactly once regardless of how
-    many designated primes qualify.
+    many designated primes qualify.  thm1 takes a row's pairs from one
+    pair list; thm2 sorts the window hits of ``_ROW_BLOCK`` pair sums
+    into (pivot, r) runs and pairs each hit with its run's later ones.
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
     ps, lpf, r_lo, r_hi = _census_setup(table, x)
     rows = []
+    if mode == "thm2":
+        step = max(1, _ROW_BLOCK // len(ps))
+        for i0 in range(0, len(ps), step):
+            block = lpf[ps[i0 : i0 + step, None] + ps]
+            np.fill_diagonal(block[:, i0:], 0)  # p1 is not its own partner
+            piv, j = np.nonzero((block > r_lo) & (block <= r_hi))
+            key = piv * (r_hi + 1) + block[piv, j]
+            order = np.argsort(key, kind="stable")  # partners stay ascending in a (pivot, r) run
+            key, j = key[order], j[order]
+            at = np.arange(len(key))
+            a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)
+            r, q = key[a] % (r_hi + 1), lpf[ps[j[a]] + ps[j[b]]]
+            ok = q != r  # else a prime cube; q != r leaves p1 the only designated prime
+            rows.append(r[ok] * r[ok] * q[ok])
+        return _finish_census(table, x, mode, rows)
+    m, pair_a, pair_b = 0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     for i, p1 in enumerate(ps.tolist()):
         row = lpf[p1 + ps]
         row[i] = 0  # p1 is not its own partner
         hit = np.flatnonzero((row > r_lo) & (row <= r_hi))
+        k = len(hit)
+        if k > m:  # the pairs a < b of m hits, ordered by b: those of k <= m hits come first
+            m = max(k, 2 * m)
+            pair_b, pair_a = np.tril_indices(m, -1)
         rs, others = row[hit], ps[hit]
-        a, b = np.triu_indices(len(hit), 1)  # a < b, so others[a] < others[b]
-        same = rs[a] == rs[b]
-        keep = same if mode == "thm2" else ~same
+        a, b = pair_a[: k * (k - 1) // 2], pair_b[: k * (k - 1) // 2]  # others[a] < others[b]
+        keep = rs[a] != rs[b]
         r1, r2, p2, p3 = rs[a[keep]], rs[b[keep]], others[a[keep]], others[b[keep]]
         q = lpf[p2 + p3]
-        ok = (q != r1) & (q != r2)  # else the image leaves C3 (thm1) or is a prime cube (thm2)
-        if mode == "thm1":
-            # q in the window makes all three primes designated; count at the smallest.
-            # thm2 needs no such rule: q != r leaves p1 the only designated prime.
-            ok &= ~((q > r_lo) & (q <= r_hi) & (p2 < p1))
+        # q == r1 or r2 leaves C3; q in the window designates all three: count at the smallest
+        ok = (q != r1) & (q != r2) & ~((q > r_lo) & (q <= r_hi) & (p2 < p1))
         rows.append(r1[ok] * r2[ok] * q[ok])
     return _finish_census(table, x, mode, rows)
 
