@@ -17,7 +17,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .dynamics import DEFAULT_CAP, TripleClass, classify, ind, trajectory
+from .dynamics import DEFAULT_CAP, classify, ind, trajectory
 from .errors import CacheError, CapExceededError, CoverageError
 from .parents import ParentQuery, census_b3, census_c3, find_parents
 from .primes import PrimeTable, build_prime_table
@@ -25,7 +25,9 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 
 logger = logging.getLogger(__name__)
 
-CENSUS_X_CAP_C3 = 10_000  # thm1 memory grows with the parent count: 186 MB here, about 1 GB at 2*10**4
+# default x caps of the triple censuses: thm1 memory grows with its parent count (201 MB at 10**4,
+# about 1 GB at 2*10**4); thm2 takes 1.4-1.7 s and 148 MB at 10**5
+CENSUS_X_CAP = {"thm1": 10_000, "thm2": 100_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 _CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk
 
@@ -117,12 +119,7 @@ def cmd_parents(args) -> int:
     target = classify(_build(POINT_LIMIT, args), n)
     if target is None or not target.in_a3:
         raise ValueError(f"target {n} is not in A3")
-    limit = max(POINT_LIMIT, 4 * x)
-    if args.parent_class in ("b3", "any") and target.cls == TripleClass.B3:
-        a, b, c = target.primes
-        q = c if a == b else a
-        limit = max(limit, 2 * x + q)
-    table = _build(limit, args)
+    table = _build(max(POINT_LIMIT, 4 * x), args)  # a B3 search has q <= 2x, so 2x + q <= 4x
     query = ParentQuery(target=target, x=x, parent_class=args.parent_class)
     parents = find_parents(table, query)
     print(f"target {n} = {target.p1}*{target.p2}*{target.p3} ({target.cls.value})")
@@ -138,11 +135,11 @@ def cmd_census(args) -> int:
     grid = args.x_grid if args.x_grid is not None else (
         [300, 1000, 3000, 10000] if mode == "thm3" else [300, 1000, 3000]
     )
-    if mode in ("thm1", "thm2") and not args.allow_large:
-        too_big = [x for x in grid if x > CENSUS_X_CAP_C3]
+    if mode in CENSUS_X_CAP and not args.allow_large:
+        too_big = [x for x in grid if x > CENSUS_X_CAP[mode]]
         if too_big:
             raise ValueError(
-                f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP_C3} for triple "
+                f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP[mode]} for triple "
                 f"censuses ({mode}); pass --allow-large to run anyway"
             )
     table = _build(4 * max(grid) + 1, args)

@@ -11,14 +11,15 @@ searches join the pairs into triples by the same congruence.
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
 toward the smallest image.  Censuses visit every pair, so they skip the
-congruence route: they read the same P array over [0, 4x] and process
-the pair sums of the pivot primes with numpy, one row at a time (thm1,
-thm3) or in blocks of rows (thm2, which pairs partners of equal P only).
+congruence route: they read the same P array over [0, 4x] and take the
+window hits of the pivot primes' pair sums with numpy, in blocks of
+pivot rows, from one generator that all three censuses share.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -29,7 +30,7 @@ from .errors import CoverageError
 from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
 
 _JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
-_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in the thm2 census
+_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in every census
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -71,7 +72,9 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
 def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ranges [starts[i], starts[i] + lens[i]) end to end, as (i, index) per element."""
     owner = np.repeat(np.arange(len(lens)), lens)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+    idx = np.repeat(starts + lens - np.cumsum(lens), lens)
+    idx += np.arange(len(owner))  # in place: a fresh array here took longer than both repeats
+    return owner, idx
 
 
 def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
@@ -227,6 +230,24 @@ def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray])
     )
 
 
+def _window_hits(ps: np.ndarray, lpf: np.ndarray, r_lo: int, r_hi: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The window hits of the pair sums of the box primes ``ps``, taken
+    in blocks of pivot rows of about ``_ROW_BLOCK`` pair sums.
+
+    Yields per block three arrays of primes (pivot, partner, r) with
+    pivot != partner and r = P(pivot + partner) in the window
+    (r_lo, r_hi], in pivot-then-partner order.  The hits come from one
+    flat index of the block, so no 2-D gather is needed.
+    """
+    step = max(1, _ROW_BLOCK // len(ps))
+    for i0 in range(0, len(ps), step):
+        block = lpf[ps[i0 : i0 + step, None] + ps]
+        np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
+        flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
+        piv, j = np.divmod(flat, len(ps))
+        yield ps[i0 + piv], ps[j], block.ravel()[flat]
+
+
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     """Census of C3 parents over the box (x, 2x].
 
@@ -240,45 +261,26 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
       prime r), giving images of the form q*r**2.
 
     Each qualifying triple is counted exactly once regardless of how
-    many designated primes qualify.  thm1 takes a row's pairs from one
-    pair list; thm2 sorts the window hits of ``_ROW_BLOCK`` pair sums
-    into (pivot, r) runs and pairs each hit with its run's later ones.
+    many designated primes qualify.  Both modes sort each block of
+    window hits into runs, by pivot (thm1) or by (pivot, r) (thm2), and
+    pair each hit with its run's later ones; only the filter differs.
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
     ps, lpf, r_lo, r_hi = _census_setup(table, x)
     rows = []
-    if mode == "thm2":
-        step = max(1, _ROW_BLOCK // len(ps))
-        for i0 in range(0, len(ps), step):
-            block = lpf[ps[i0 : i0 + step, None] + ps]
-            np.fill_diagonal(block[:, i0:], 0)  # p1 is not its own partner
-            piv, j = np.nonzero((block > r_lo) & (block <= r_hi))
-            key = piv * (r_hi + 1) + block[piv, j]
-            order = np.argsort(key, kind="stable")  # partners stay ascending in a (pivot, r) run
-            key, j = key[order], j[order]
-            at = np.arange(len(key))
-            a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)
-            r, q = key[a] % (r_hi + 1), lpf[ps[j[a]] + ps[j[b]]]
-            ok = q != r  # else a prime cube; q != r leaves p1 the only designated prime
-            rows.append(r[ok] * r[ok] * q[ok])
-        return _finish_census(table, x, mode, rows)
-    m, pair_a, pair_b = 0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    for i, p1 in enumerate(ps.tolist()):
-        row = lpf[p1 + ps]
-        row[i] = 0  # p1 is not its own partner
-        hit = np.flatnonzero((row > r_lo) & (row <= r_hi))
-        k = len(hit)
-        if k > m:  # the pairs a < b of m hits, ordered by b: those of k <= m hits come first
-            m = max(k, 2 * m)
-            pair_b, pair_a = np.tril_indices(m, -1)
-        rs, others = row[hit], ps[hit]
-        a, b = pair_a[: k * (k - 1) // 2], pair_b[: k * (k - 1) // 2]  # others[a] < others[b]
-        keep = rs[a] != rs[b]
-        r1, r2, p2, p3 = rs[a[keep]], rs[b[keep]], others[a[keep]], others[b[keep]]
-        q = lpf[p2 + p3]
-        # q == r1 or r2 leaves C3; q in the window designates all three: count at the smallest
-        ok = (q != r1) & (q != r2) & ~((q > r_lo) & (q <= r_hi) & (p2 < p1))
+    for piv, p, r in _window_hits(ps, lpf, r_lo, r_hi):
+        key = piv if mode == "thm1" else piv * (r_hi + 1) + r
+        order = np.argsort(key, kind="stable")  # partners stay ascending in a run
+        key, piv, p, r = key[order], piv[order], p[order], r[order]
+        at = np.arange(len(key))
+        a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)  # p[a] < p[b]
+        s = p[a]
+        s += p[b]  # in place, as in _ragged: one fresh pair-sized array fewer per block
+        r1, r2, q = r[a], r[b], lpf[s]
+        ok = (q != r1) & (q != r2)  # else not C3; in thm2 q != r leaves the pivot the only designated prime
+        if mode == "thm1":  # q in the window designates all three: count at the smallest
+            ok &= (r1 != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
         rows.append(r1[ok] * r2[ok] * q[ok])
     return _finish_census(table, x, mode, rows)
 
@@ -288,16 +290,11 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
 
     For every pair of primes q, p in (x, 2x] with p != q and
     P(p + q) = r in the window, the parent p*q**2 of the image q*r**2
-    is tallied under that image.
+    is tallied under that image; each window hit of pivot q and
+    partner p is one parent.
     """
     ps, lpf, r_lo, r_hi = _census_setup(table, x)
-    rows = []
-    for i, q in enumerate(ps.tolist()):
-        row = lpf[q + ps]
-        row[i] = 0  # p != q
-        r = row[(row > r_lo) & (row <= r_hi)]
-        rows.append(q * r * r)
-    return _finish_census(table, x, "thm3", rows)
+    return _finish_census(table, x, "thm3", [q * r * r for q, _, r in _window_hits(ps, lpf, r_lo, r_hi)])
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,8 @@ def find_parents(table: PrimeTable, query: ParentQuery) -> list[Triple]:
     restricted to the requested parent class.
 
     B3 parents exist only for B3 targets (the image of p*q**2 always
-    repeats a prime), so C3 targets yield none.
+    repeats a prime), so C3 targets yield none; the target q*r**2 has
+    them only when its lone prime q lies in (x, 2x] too.
     """
     out: list[Triple] = []
     if query.parent_class in ("c3", "any"):
@@ -331,5 +329,6 @@ def find_parents(table: PrimeTable, query: ParentQuery) -> list[Triple]:
     if query.parent_class in ("b3", "any") and query.target.cls == TripleClass.B3:
         a, b, c = query.target.primes
         q, r = (c, a) if a == b else (a, b)  # q appears once, r twice
-        out.extend(Triple.from_primes(p, q, q) for p in find_b3_parents(table, q, r, query.x))
+        if query.x < q <= 2 * query.x:
+            out.extend(Triple.from_primes(p, q, q) for p in find_b3_parents(table, q, r, query.x))
     return sorted(out)

@@ -65,14 +65,16 @@ FROZEN_ARGMAX = {
     ("thm1", 300): (218881, 3),
     ("thm1", 1000): (1072853, 6),
     ("thm1", 3000): (5445799, 12),
+    ("thm1", 10000): (33582421, 34),
     ("thm2", 300): (63845, 1),
     ("thm2", 1000): (248645, 3),
     ("thm2", 3000): (1606087, 5),
     ("thm2", 10000): (16898153, 16),
     ("thm2", 30000): (101671351, 53),
 }
-# recorded from the all-pairs thm2 kernel that the (pivot, r) runs replaced
-FROZEN_THM2_TOTAL = {10000: 22807, 30000: 263351}
+# thm2 recorded from the all-pairs kernel that the (pivot, r) runs replaced,
+# thm1 from the row-at-a-time kernel that the blocks of pivot rows replaced
+FROZEN_TOTAL = {("thm2", 10000): 22807, ("thm2", 30000): 263351, ("thm1", 10000): 4355184}
 
 
 def _assert_argmax(census, want):
@@ -92,20 +94,24 @@ def test_census_c3_frozen_argmax(table_x10k, table_200k):
         for x in (300, 1000, 3000):
             census = census_c3(table_x10k, x, mode=mode)
             _assert_argmax(census, FROZEN_ARGMAX[(mode, x)])
-    for x, table in ((10000, table_x10k), (30000, table_200k)):
-        census = census_c3(table, x, mode="thm2")
-        _assert_argmax(census, FROZEN_ARGMAX[("thm2", x)])
-        assert census.total_parents == FROZEN_THM2_TOTAL[x]
+    for mode, x, table in (("thm1", 10000, table_x10k), ("thm2", 10000, table_x10k), ("thm2", 30000, table_200k)):
+        census = census_c3(table, x, mode=mode)
+        _assert_argmax(census, FROZEN_ARGMAX[(mode, x)])
+        assert census.total_parents == FROZEN_TOTAL[(mode, x)]
 
 
 @pytest.mark.parametrize("x", [300, 1000])
-def test_census_thm2_across_row_blocks(table_x10k, monkeypatch, x):
+@pytest.mark.parametrize("mode", ["thm1", "thm2", "thm3"])
+def test_census_across_row_blocks(table_x10k, monkeypatch, mode, x):
     # 47 box primes at x = 300 and 135 at x = 1000: blocks of one pivot row, of
     # 2 rows (a last one of 1) or one row, and of 21 or 7 rows, the last one partial
-    want = oracle.census_c3(table_x10k, x, "thm2")
+    if mode == "thm3":
+        want, census = _oracle_b3_by_image(table_x10k, x), lambda: census_b3(table_x10k, x)
+    else:
+        want, census = oracle.census_c3(table_x10k, x, mode), lambda: census_c3(table_x10k, x, mode=mode)
     for block in (1, 97, 1000):
         monkeypatch.setattr("wdyn.parents._ROW_BLOCK", block)
-        assert tally(census_c3(table_x10k, x, mode="thm2")) == want, block
+        assert tally(census()) == want, block
 
 
 def test_census_window_membership(table_x300):

@@ -134,6 +134,28 @@ def test_parents_b3_target(capsys):
     assert "101*103*103" in out
 
 
+def test_parents_b3_needs_q_in_the_box(capsys):
+    # 507 = 3*13*13: the parents p*3*3 have p in (100, 200] but 3 outside it
+    code, out, _ = run(capsys, "parents", "507", "--x", "100", "--class", "b3", "--list")
+    assert code == 0
+    assert "count=0" in out
+
+
+def test_parents_b3_target_with_huge_q_builds_a_small_table(capsys, monkeypatch):
+    # 19327352823 = 3**2 * (2**31 - 1): a B3 search for q = 2**31 - 1 would need a table to 2x + q
+    build = cli._build
+
+    def small_only(limit, args):
+        if limit > 1000:
+            raise AssertionError(f"table of limit {limit} requested")
+        return build(limit, args)
+
+    monkeypatch.setattr(cli, "_build", small_only)
+    code, out, _ = run(capsys, "parents", "19327352823", "--x", "100")
+    assert code == 0
+    assert "count=0" in out
+
+
 def test_parents_rejects_non_a3_target(capsys):
     code, _, err = run(capsys, "parents", "16", "--x", "100")
     assert code == 1
@@ -196,10 +218,19 @@ def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_p
     assert code == 0
 
 
-def test_census_triple_mode_x_cap(capsys):
-    code, _, err = run(capsys, "census", "--mode", "thm1", "--x-grid", "300,20000")
+def test_census_triple_mode_x_cap(capsys, monkeypatch):
+    def no_table(limit, args):
+        raise ValueError(f"past the cap: table of limit {limit}")
+
+    monkeypatch.setattr(cli, "_build", no_table)
+    for mode, grid in (("thm1", "300,20000"), ("thm2", "300,200000")):
+        code, _, err = run(capsys, "census", "--mode", mode, "--x-grid", grid)
+        assert code == 1
+        assert "--allow-large" in err and "past the cap" not in err
+    # each mode has its own cap: thm2 at 10**5 is under it and goes on to build its table
+    code, _, err = run(capsys, "census", "--mode", "thm2", "--x-grid", "300,100000")
     assert code == 1
-    assert "--allow-large" in err
+    assert "past the cap: table of limit 400001" in err
 
 
 def test_census_usage_error_exit_code(capsys):

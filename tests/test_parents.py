@@ -99,7 +99,8 @@ def test_find_parents_matches_oracle_at_x1000(table_x10k, n):
     want = oracle.find_c3_parents(table_x10k, target, 1000)
     if target.cls is TripleClass.B3:
         q, r = (target.p3, target.p1) if target.p1 == target.p2 else (target.p1, target.p2)
-        want += [Triple.from_primes(p, q, q) for p in oracle.find_b3_parents(table_x10k, q, r, 1000)]
+        if 1000 < q <= 2000:  # a B3 parent p*q**2 draws q from the box too; not so for 2023 = 7*17*17
+            want += [Triple.from_primes(p, q, q) for p in oracle.find_b3_parents(table_x10k, q, r, 1000)]
     assert got == sorted(want)
     assert len(got) > 0
     for parent in got:
