@@ -119,7 +119,7 @@ def cmd_parents(args) -> int:
     target = classify(_build(POINT_LIMIT, args), n)
     if target is None or not target.in_a3:
         raise ValueError(f"target {n} is not in A3")
-    table = _build(max(POINT_LIMIT, 4 * x), args)  # a B3 search has q <= 2x, so 2x + q <= 4x
+    table = _build(max(POINT_LIMIT, 2 * x), args)  # searches read the table only up to the box, and q <= 2x
     query = ParentQuery(target=target, x=x, parent_class=args.parent_class)
     parents = find_parents(table, query)
     print(f"target {n} = {target.p1}*{target.p2}*{target.p3} ({target.cls.value})")

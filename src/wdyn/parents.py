@@ -3,17 +3,18 @@ parent censuses over prime boxes.
 
 A parent of a target n is any m in A3 with w(m) = n.  Searches draw
 the parent primes from a box (x, 2x] and use the congruence
-P(s) = r implies r | s: they step through the pair sums s that are
-multiples of r, keep those whose entry in the P array (derived from
-the spf sieve) equals r, and read off their prime pairs as arrays; C3
-searches join the pairs into triples by the same congruence.
+P(s) = r implies r | s: they step through the pair sums s = k*r, keep
+those with P(s) = r, that is P(k) <= r, so they read the P array
+(derived from the spf sieve) only over [0, 4x / min r], and read off
+their prime pairs as arrays; C3 searches join the pairs into triples by
+the same congruence.  The table is read up to 2x (B3: max(2x, q)).
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
 toward the smallest image.  Censuses visit every pair, so they skip the
-congruence route: they read the same P array over [0, 4x] and take the
-window hits of the pivot primes' pair sums with numpy, in blocks of
-pivot rows, from one generator that all three censuses share.
+congruence route: only they read the P array over [0, 4x], and they
+take the window hits of the pivot primes' pair sums with numpy, in
+blocks of pivot rows, from one generator that all three censuses share.
 """
 
 from __future__ import annotations
@@ -48,24 +49,26 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
     """All primes p in (x, 2x] with p != q and P(p + q) = r.
 
     Each such p gives the B3 parent p*q**2 of the target q*r**2.
-    Steps through the sums s = p + q in (x + q, 2x + q] that are
-    multiples of r, keeps those with P(s) = r, and filters p = s - q
-    by primality.
+    Steps through the sums s = k*r in (x + q, 2x + q], keeps those with
+    P(k) <= r, and filters p = s - q by primality.  It reads the box, q,
+    r and P over [0, (2x + q) / r], so the table must reach max(2x, q)
+    (for q = 2, max(2x, r)).
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     hi = 2 * x + q
-    if table.limit < hi:
+    if r > (hi // 2 if q % 2 else hi):
+        return []  # P(p + q) = r needs r <= p + q <= 2x + q, and p + q is even when q is odd (p > x >= 2 is)
+    need = max(2 * x, q, r)  # r <= max(2x, q) for odd q
+    if table.limit < need:
         raise CoverageError(
-            f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {hi}, have {table.limit}",
-            required_limit=hi,
+            f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {need}, have {table.limit}",
+            required_limit=need,
         )
-    if r > hi:
-        return []  # P(p + q) = r needs r <= p + q <= 2x + q
     if min(q, r) < 2 or table.spf[q] != q or table.spf[r] != r:  # spf[0], spf[1] are 0, 1
         raise ValueError(f"q and r must be prime, got q={q}, r={r}")
-    sums = np.arange((x + q) // r * r + r, hi + 1, r)
-    p = sums[largest_prime_factors(table, hi)[sums] == r] - q
+    k = np.arange((x + q) // r + 1, hi // r + 1)
+    p = r * k[largest_prime_factors(table, hi // r)[k] <= r] - q
     return p[(table.spf[p] == p) & (p != q)].tolist()
 
 
@@ -81,22 +84,24 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     """All unordered triples of distinct primes in (x, 2x] whose three
     pairwise P-sums match the target's prime multiset.
 
-    Each target prime r has the even multiples s of r in (2x, 4x] with
-    P(s) = r.  The pairs (u, v) of the base prime's sums are built in
-    blocks of ``_JOIN_BLOCK`` candidates; a third prime c with P(u + c) =
-    m2 and P(v + c) = m3 makes u + c an m2-sum congruent to u - v mod m3.
+    Each target prime r has the even multiples s = k*r in (2x, 4x] with
+    P(s) = r, that is P(k) <= r, so the P array is read only over
+    [0, 4x / min r] and the table only up to 2x.  The pairs (u, v) of
+    the base prime's sums are built in blocks of ``_JOIN_BLOCK``
+    candidates; a third prime c with P(u + c) = m2 and P(v + c) = m3
+    makes u + c an m2-sum congruent to u - v mod m3.
     Output is sorted and duplicate-free.
     """
     if target.cls not in (TripleClass.C3, TripleClass.B3):
         raise ValueError(f"target must be in A3, got {target!r}")
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
-    ps = primes_in_range(table, x, 2 * x)
+    ps = primes_in_range(table, x, 2 * x)  # first, so a short table asks for 2x
+    lpf = largest_prime_factors(table, 4 * x // min(target.primes))
     sums, lo, lens = {}, {}, {}  # a target prime above 4x has no sums
     for r in dict.fromkeys(target.primes):
         s = np.arange(2 * x // r * r + r, 4 * x + 1, r)
-        sums[r] = s = s[(lpf[s] == r) & (s % 2 == 0)]  # two odd primes have an even sum
+        sums[r] = s = s[(lpf[s // r] <= r) & (s % 2 == 0)]  # two odd primes have an even sum
         # a in [s - 2x, s / 2) keeps b = s - a in the box and a < b
         lo[r] = np.searchsorted(ps, s - 2 * x)
         lens[r] = np.searchsorted(ps, s // 2) - lo[r]
@@ -119,9 +124,10 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
             start = np.searchsorted(res, key)
             owner, idx = _ragged(start, np.searchsorted(res, key, side="right") - start)
             c = s2[idx] - u[owner]
-            hit = (c > x) & (c <= 2 * x) & (table.spf[c] == c)  # then v + c <= 4x, inside lpf
-            owner, c = owner[hit], c[hit]
-            hit = (lpf[v[owner] + c] == m3) & (c != u[owner]) & (c != v[owner])
+            box = (c > x) & (c <= 2 * x)  # first: spf and lpf are read only for c in the box
+            owner, c = owner[box], c[box]
+            # v + c = s2 - (u - v) is a multiple of m3 by the residue match
+            hit = (table.spf[c] == c) & (lpf[(v[owner] + c) // m3] <= m3) & (c != u[owner]) & (c != v[owner])
             found.append(np.stack([u[owner[hit]], v[owner[hit]], c[hit]], axis=1))
     triples = np.sort(np.concatenate(found), axis=1)
     triples = triples[np.lexsort(triples.T[::-1])]  # rows in order, first column first
@@ -234,10 +240,10 @@ def _window_hits(ps: np.ndarray, lpf: np.ndarray, r_lo: int, r_hi: int) -> Itera
     """The window hits of the pair sums of the box primes ``ps``, taken
     in blocks of pivot rows of about ``_ROW_BLOCK`` pair sums.
 
-    Yields per block three arrays of primes (pivot, partner, r) with
-    pivot != partner and r = P(pivot + partner) in the window
-    (r_lo, r_hi], in pivot-then-partner order.  The hits come from one
-    flat index of the block, so no 2-D gather is needed.
+    Yields per block three arrays (pivot, j, r): pivot primes, indices j
+    of their partners ps[j] != pivot (thm3 never gathers them), and r =
+    P(pivot + ps[j]) in the window (r_lo, r_hi], in pivot-then-partner
+    order.  The hits come from one flat index of the block.
     """
     step = max(1, _ROW_BLOCK // len(ps))
     for i0 in range(0, len(ps), step):
@@ -245,7 +251,7 @@ def _window_hits(ps: np.ndarray, lpf: np.ndarray, r_lo: int, r_hi: int) -> Itera
         np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
         flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
         piv, j = np.divmod(flat, len(ps))
-        yield ps[i0 + piv], ps[j], block.ravel()[flat]
+        yield ps[i0 + piv], j, block.ravel()[flat]
 
 
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
@@ -269,10 +275,10 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
     ps, lpf, r_lo, r_hi = _census_setup(table, x)
     rows = []
-    for piv, p, r in _window_hits(ps, lpf, r_lo, r_hi):
+    for piv, j, r in _window_hits(ps, lpf, r_lo, r_hi):
         key = piv if mode == "thm1" else piv * (r_hi + 1) + r
         order = np.argsort(key, kind="stable")  # partners stay ascending in a run
-        key, piv, p, r = key[order], piv[order], p[order], r[order]
+        key, piv, p, r = key[order], piv[order], ps[j[order]], r[order]
         at = np.arange(len(key))
         a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)  # p[a] < p[b]
         s = p[a]

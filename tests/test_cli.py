@@ -156,6 +156,26 @@ def test_parents_b3_target_with_huge_q_builds_a_small_table(capsys, monkeypatch)
     assert "count=0" in out
 
 
+@pytest.mark.parametrize("argv, limit, count", [
+    (["29767", "--x", "700"], 1400, "count=8"),
+    # 193345247 = 139**2 * 10007: q = 10007 is in the box, so its B3 search needs max(2x, q)
+    (["193345247", "--x", "10000", "--class", "b3"], 20000, "count=9"),
+])
+def test_parents_builds_a_table_to_2x(capsys, monkeypatch, argv, limit, count):
+    limits = []
+    build = cli._build
+
+    def recording_build(n, args):
+        limits.append(n)
+        return build(n, args)
+
+    monkeypatch.setattr(cli, "_build", recording_build)
+    code, out, _ = run(capsys, "parents", *argv)
+    assert code == 0
+    assert count in out
+    assert limits == [1000, limit]
+
+
 def test_parents_rejects_non_a3_target(capsys):
     code, _, err = run(capsys, "parents", "16", "--x", "100")
     assert code == 1

@@ -11,6 +11,7 @@ from wdyn import (
     Triple,
     TripleClass,
     apply_w,
+    build_prime_table,
     classify,
     find_b3_parents,
     find_c3_parents,
@@ -59,8 +60,33 @@ def test_find_b3_parents_validates_inputs(table_x300):
     for q in (1, 0):  # spf[1] == 1 and spf[0] == 0 are sentinels, not primes
         with pytest.raises(ValueError):
             find_b3_parents(table_x300, q, 7, 100)
-    with pytest.raises(CoverageError):
-        find_b3_parents(table_x300, 101, 7, 600)  # needs limit >= 1301
+    with pytest.raises(CoverageError) as err:
+        find_b3_parents(table_x300, 101, 7, 601)  # the box (601, 1202] passes the 1201 table
+    assert err.value.required_limit == 1202
+
+
+@pytest.mark.parametrize("x", [100, 300])
+def test_find_b3_parents_on_a_table_of_limit_2x(table_x300, x):
+    # every q of the box and every prime r up to 2x + q, read against the oracle's own P;
+    # an r past (2x + q) / 2 returns [] before its spf entry, which may lie past the table
+    narrow = build_prime_table(2 * x)
+    lpf = oracle.lpf_array(table_x300, 4 * x)
+    ps = primes_in_range(table_x300, x, 2 * x).tolist()
+    nonempty = 0
+    for q in ps:
+        for r in primes_in_range(table_x300, 1, 2 * x + q).tolist():
+            got = find_b3_parents(narrow, q, r, x)
+            assert got == [p for p in ps if p != q and lpf[p + q] == r], (q, r)
+            nonempty += bool(got)
+    assert nonempty > 0
+
+
+def test_find_b3_parents_even_q(table_x300):
+    # q = 2 makes p + q odd, so P(p + q) can exceed (2x + q) / 2: 17 + 2 = 19 at x = 9
+    assert find_b3_parents(table_x300, 2, 19, 9) == oracle.find_b3_parents(table_x300, 2, 19, 9) == [17]
+    with pytest.raises(CoverageError) as err:
+        find_b3_parents(build_prime_table(18), 2, 19, 9)  # the box fits, r does not
+    assert err.value.required_limit == 19
 
 
 def _image_targets(table, x, count):
@@ -180,11 +206,37 @@ def test_find_c3_parents_rejects_d3_target(table_x300):
         find_c3_parents(table_x300, Triple(5, 5, 5), 100)
 
 
-def test_find_c3_parents_coverage(table_x300):
-    for x in (400, 700):  # 4x past the 1201 table; at 700 the box (x, 2x] is too
+def test_find_c3_parents_coverage(table_x300, table_x10k):
+    for x in (601, 700):  # the box (x, 2x] past the 1201 table
         with pytest.raises(CoverageError) as err:
             find_c3_parents(table_x300, Triple(7, 13, 17), x)
-        assert err.value.required_limit == 4 * x
+        assert err.value.required_limit == 2 * x
+    # 4x = 1600 is past the table, but the search reads it only up to 2x
+    target = Triple(7, 13, 17)
+    assert find_c3_parents(table_x300, target, 400) == find_c3_parents(table_x10k, target, 400)
+
+
+# targets whose smallest prime is 2, 3, 5 and 7 (P array over about 2x, 4x/3, 4x/5, 4x/7), B3
+# targets, and one whose primes all lie in the box (a P array of 3 entries); each is the image of a
+# box triple, so it has C3 parents, except 29767 = 17*17*103, which has one B3 parent at x = 100
+TARGETS_ON_2X = {
+    100: [130, 5457, 1445, 1547, 98, 29767, 3653927],
+    300: [410, 7107, 92185, 16583, 151824011],
+    1000: [35642, 420897, 4085, 36043, 7014098431],
+}
+
+
+@pytest.mark.parametrize("x", sorted(TARGETS_ON_2X))
+def test_find_parents_on_a_table_of_limit_2x(table_x300, table_x10k, x):
+    wide = table_x300 if 4 * x <= table_x300.limit else table_x10k
+    narrow = build_prime_table(2 * x)
+    for n in TARGETS_ON_2X[x]:
+        target = classify(wide, n)
+        got = find_c3_parents(narrow, target, x)
+        assert got == find_c3_parents(wide, target, x) == oracle.find_c3_parents(wide, target, x), n
+        assert got or n == 29767
+        query = ParentQuery(target=target, x=x, parent_class="any")
+        assert find_parents(narrow, query) == find_parents(wide, query), n
 
 
 def test_find_parents_dispatch(table_x300):
