@@ -11,10 +11,9 @@ the same congruence.  The table is read up to 2x (B3: max(2x, q)).
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
-toward the smallest image.  Censuses visit every pair, so they skip the
-congruence route: only they read the P array over [0, 4x], and they
-take the window hits of the pivot primes' pair sums with numpy, in
-blocks of pivot rows, from one generator that all three censuses share.
+toward the smallest image.  thm3 reads the class counts of the box
+primes mod each window prime; thm1 and thm2 read the P array over
+[0, 4x] for the window hits of the pair sums, in blocks of pivot rows.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import CoverageError
 from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
 
 _JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
-_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in every census
+_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in the thm1 and thm2 censuses
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -140,12 +139,11 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
 class ParentCensus:
     """Tally of w-images over parents drawn from the box (x, 2x].
 
-    ``images`` and ``counts`` are the int64 arrays of ``np.unique``:
-    the distinct images in ascending order and the number of unordered
-    parent triples found for each.  ``argmax`` is (image, count) with
-    the most parents, ties broken toward the smallest image, and (0, 0)
-    when the census is empty; ``argmax_factors`` is that image's prime
-    triple.
+    ``images`` and ``counts`` are int64 arrays: the distinct images in
+    ascending order and the number of unordered parent triples found for
+    each.  ``argmax`` is (image, count) with the most parents, ties broken
+    toward the smallest image, and (0, 0) when the census is empty;
+    ``argmax_factors`` is that image's prime triple.
     """
 
     x: int
@@ -206,26 +204,37 @@ class ParentCensus:
         return list(zip(self.images.tolist(), self.counts.tolist()))
 
 
-def _census_setup(table: PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Box primes (x, 2x], the P array over [0, 4x] (every pair sum
-    lies in (2x, 4x]) and the window bounds of a census."""
+def class_counts(box: np.ndarray, lo: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(r, counts) for each r in rs, counts[b] the int64 number of members in
+    class b mod r of the set with 0/1 indicator ``box``, box[i] marking lo + 1 + i.
+    Sums the rows of length r of the zero-padded indicator, 255 per uint8 reduction."""
+    pad = max(rs, default=0)
+    padded = np.pad(box.astype(np.uint8), pad)  # padded[i] marks base + i
+    base, hi = lo + 1 - pad, lo + box.size
+    for r in rs:
+        rows = padded[(lo + 1) // r * r - base : -(-(hi + 1) // r) * r - base].reshape(-1, r)
+        counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
+        for k in range(255, len(rows), 255):  # a uint8 sum of <= 255 rows cannot wrap
+            counts += rows[k : k + 255].sum(axis=0, dtype=np.uint8)
+        yield r, counts
+
+
+def _census_setup(x: int) -> tuple[int, int]:
+    """The window bounds of a census, once x is checked."""
     if x < 10:
         raise ValueError(f"censuses require x >= 10, got {x}")
     r_lo, r_hi = window_bounds(x)
     # images r1*r2*q and q*r**2 are at most r_hi**2 * 4x and are formed in int64
     if r_hi * r_hi * 4 * x >= 2**63:
         raise ValueError(f"census images at x={x} would overflow int64")
-    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
-    return primes_in_range(table, x, 2 * x), lpf, r_lo, r_hi
+    return r_lo, r_hi
 
 
-def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray]) -> ParentCensus:
-    """The census of one image per parent, given as one array per pivot
-    row.  The images come out of ``np.unique`` sorted, so the first
-    maximum count is the argmax with ties toward the smallest image.
-    Its factors are within reach of the table: two of them are window
-    primes and the third is at most 4x."""
-    images, counts = np.unique(np.concatenate(rows), return_counts=True)
+def _finish_census(table: PrimeTable, x: int, mode: str, images: np.ndarray, counts: np.ndarray) -> ParentCensus:
+    """The census of the tally (images, counts), images ascending and
+    distinct, so the first maximum count is the argmax with ties toward
+    the smallest image.  Its factors are within reach of the table: two
+    of them are window primes and the third is at most 4x."""
     argmax, factors = (0, 0), ()
     if len(images):
         i = int(np.argmax(counts))
@@ -234,24 +243,6 @@ def _finish_census(table: PrimeTable, x: int, mode: str, rows: list[np.ndarray])
     return ParentCensus(
         x=x, mode=mode, images=images, counts=counts, argmax=argmax, argmax_factors=factors
     )
-
-
-def _window_hits(ps: np.ndarray, lpf: np.ndarray, r_lo: int, r_hi: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The window hits of the pair sums of the box primes ``ps``, taken
-    in blocks of pivot rows of about ``_ROW_BLOCK`` pair sums.
-
-    Yields per block three arrays (pivot, j, r): pivot primes, indices j
-    of their partners ps[j] != pivot (thm3 never gathers them), and r =
-    P(pivot + ps[j]) in the window (r_lo, r_hi], in pivot-then-partner
-    order.  The hits come from one flat index of the block.
-    """
-    step = max(1, _ROW_BLOCK // len(ps))
-    for i0 in range(0, len(ps), step):
-        block = lpf[ps[i0 : i0 + step, None] + ps]
-        np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
-        flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
-        piv, j = np.divmod(flat, len(ps))
-        yield ps[i0 + piv], j, block.ravel()[flat]
 
 
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
@@ -273,9 +264,17 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
-    ps, lpf, r_lo, r_hi = _census_setup(table, x)
+    r_lo, r_hi = _census_setup(x)
+    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
+    ps = primes_in_range(table, x, 2 * x)
     rows = []
-    for piv, j, r in _window_hits(ps, lpf, r_lo, r_hi):
+    step = max(1, _ROW_BLOCK // len(ps))
+    for i0 in range(0, len(ps), step):
+        block = lpf[ps[i0 : i0 + step, None] + ps]
+        np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
+        flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
+        piv, j = np.divmod(flat, len(ps))
+        piv, r = ps[i0 + piv], block.ravel()[flat]  # pivot-then-partner order
         key = piv if mode == "thm1" else piv * (r_hi + 1) + r
         order = np.argsort(key, kind="stable")  # partners stay ascending in a run
         key, piv, p, r = key[order], piv[order], ps[j[order]], r[order]
@@ -288,19 +287,32 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
         if mode == "thm1":  # q in the window designates all three: count at the smallest
             ok &= (r1 != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
         rows.append(r1[ok] * r2[ok] * q[ok])
-    return _finish_census(table, x, mode, rows)
+    return _finish_census(table, x, mode, *np.unique(np.concatenate(rows), return_counts=True))
 
 
 def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     """Census of B3 parents p*q**2 over the box (x, 2x] (mode "thm3").
 
-    For every pair of primes q, p in (x, 2x] with p != q and
-    P(p + q) = r in the window, the parent p*q**2 of the image q*r**2
-    is tallied under that image; each window hit of pivot q and
-    partner p is one parent.
+    Primes q != p in (x, 2x] with P(p + q) = r in the window give the
+    parent p*q**2 of the image q*r**2.  A window prime r exceeds s / r
+    for every s <= 4x (x >= 10 gives log x > 2), so P(s) = r exactly
+    when r | s: q*r**2 has C_r(-q) - [q = r] parents, C_r(b) counting
+    the box primes in class b mod r, the counts lemma3 reads too.  No
+    pair sum is formed, and the table is read only up to 2x.
     """
-    ps, lpf, r_lo, r_hi = _census_setup(table, x)
-    return _finish_census(table, x, "thm3", [q * r * r for q, _, r in _window_hits(ps, lpf, r_lo, r_hi)])
+    r_lo, r_hi = _census_setup(x)
+    ps = primes_in_range(table, x, 2 * x)
+    box = np.zeros(x, dtype=np.uint8)
+    box[ps - (x + 1)] = 1
+    images, counts = [], []
+    for r, c in class_counts(box, x, primes_in_range(table, r_lo, r_hi).tolist()):
+        c = c[-ps % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
+        images.append(ps[c > 0] * (r * r))  # (q, r) fixes the image: no two are equal
+        counts.append(c[c > 0])
+    images, counts = np.concatenate(images), np.concatenate(counts)
+    order = np.argsort(images)
+    images = images[order]  # rebound before counts[order]: one image-sized array fewer at the peak
+    return _finish_census(table, x, "thm3", images, counts[order])
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ the bound x**2 / log(x).
 The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
 sum over r of num_r / r**2 with an integer numerator num_r, combined in
-Python ints from two int64 dot products of the class counts mod r;
-those counts sum the rows of length r of the (x, 2x] prime indicator,
-at most 255 rows per uint8 reduction.  The lhs is the exact rational
-sum for x <= EXACT_X_CUTOFF and the compensated sum of the correctly
-rounded num_r / r**2 beyond it.
+Python ints from two int64 dot products of the class counts mod r that
+the thm3 census reads too (for x >= 75 the sum is that census's
+variance).  The lhs is the exact rational sum for x <= EXACT_X_CUTOFF
+and the compensated sum of the correctly rounded num_r / r**2 beyond it.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from math import fsum, log
 
 import numpy as np
 
-from .errors import CoverageError
-from .parents import window_bounds
+from .parents import class_counts, window_bounds
 from .primes import PrimeTable, primes_in_range
 
 EXACT_X_CUTOFF = 1000  # progression lhs is an exact Fraction up to here, a float beyond
@@ -141,15 +139,11 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
     """
     if x < 10:
         raise ValueError(f"x must be >= 10, got {x}")
-    if table.limit < 2 * x:
-        raise CoverageError(
-            f"progression variance at x={x} needs table limit >= {2 * x}",
-            required_limit=2 * x,
-        )
+    ps = primes_in_range(table, x, 2 * x)  # first, so a short table asks for 2x
     r_lo, r_hi = window_bounds(x)
     rs = primes_in_range(table, r_lo, r_hi).tolist()
     box = np.zeros(x, dtype=np.uint8)  # box[i] marks x + 1 + i
-    box[primes_in_range(table, x, 2 * x) - (x + 1)] = 1
+    box[ps - (x + 1)] = 1
     nums = _progression_numerators(box, x, rs)
     if x <= EXACT_X_CUTOFF:
         lhs = sum((Fraction(num, r * r) for num, r in zip(nums, rs)), Fraction(0))
@@ -173,23 +167,15 @@ def _progression_numerators(box: np.ndarray, lo: int, rs: list[int]) -> list[int
     with c_b the count in class b and w_b = c_(-b), a reversed view.  The
     w_b sum to Z, so num_r = r**2 * S2 - 2*r*Z * S1 + Z**3 with
     S1 = sum_b w_b * c_b and S2 = sum_b w_b * c_b**2, combined in Python
-    ints.  The c_b sum the rows k*r .. k*r + r - 1 of the zero-padded
-    indicator, at most 255 rows per uint8 reduction.  S1 and S2 are int64
-    dot products, exact while Z * max(c)**2 < 2**63; past that it raises
-    ValueError.  For window moduli that product grows like
+    ints, with the c_b of :func:`~wdyn.parents.class_counts`.  S1 and S2
+    are int64 dot products, exact while Z * max(c)**2 < 2**63; past that
+    it raises ValueError.  For window moduli that product grows like
     x**2 / log(x)**5 (3.8e8 at x = 10**7), far below 2**63 on any table
     below 2**32.
     """
     z = int(np.count_nonzero(box))
-    pad = max(rs, default=0)
-    padded = np.pad(box.astype(np.uint8), pad)  # padded[i] marks base + i
-    base, hi = lo + 1 - pad, lo + box.size
     nums = []
-    for r in rs:
-        rows = padded[(lo + 1) // r * r - base : -(-(hi + 1) // r) * r - base].reshape(-1, r)
-        counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
-        for k in range(255, len(rows), 255):  # a uint8 sum of <= 255 rows cannot wrap
-            counts += rows[k : k + 255].sum(axis=0, dtype=np.uint8)
+    for r, counts in class_counts(box, lo, rs):
         c0, top = int(counts[0]), int(counts.max())
         if z * top * top >= 2**63:
             raise ValueError(f"class counts mod {r} overflow int64: Z * max(c)**2 >= 2**63")

@@ -39,7 +39,9 @@ def test_census_c3_matches_oracle(table_x300, x, mode):
     assert tally(got) == oracle.census_c3(table_x300, x, mode)
 
 
-@pytest.mark.parametrize("x", [100, 200])
+# below x = 75 the window reaches into the box, so a window prime r can be
+# the pivot q, and p = q = r sits in the class -q mod r without being a partner
+@pytest.mark.parametrize("x", [*range(10, 75), 100, 200])
 def test_census_b3_matches_oracle(table_x300, x):
     got = census_b3(table_x300, x)
     assert tally(got) == _oracle_b3_by_image(table_x300, x)
@@ -101,17 +103,14 @@ def test_census_c3_frozen_argmax(table_x10k, table_200k):
 
 
 @pytest.mark.parametrize("x", [300, 1000])
-@pytest.mark.parametrize("mode", ["thm1", "thm2", "thm3"])
+@pytest.mark.parametrize("mode", ["thm1", "thm2"])
 def test_census_across_row_blocks(table_x10k, monkeypatch, mode, x):
     # 47 box primes at x = 300 and 135 at x = 1000: blocks of one pivot row, of
     # 2 rows (a last one of 1) or one row, and of 21 or 7 rows, the last one partial
-    if mode == "thm3":
-        want, census = _oracle_b3_by_image(table_x10k, x), lambda: census_b3(table_x10k, x)
-    else:
-        want, census = oracle.census_c3(table_x10k, x, mode), lambda: census_c3(table_x10k, x, mode=mode)
+    want = oracle.census_c3(table_x10k, x, mode)
     for block in (1, 97, 1000):
         monkeypatch.setattr("wdyn.parents._ROW_BLOCK", block)
-        assert tally(census()) == want, block
+        assert tally(census_c3(table_x10k, x, mode=mode)) == want, block
 
 
 def test_census_window_membership(table_x300):
@@ -148,17 +147,16 @@ def test_census_parents_are_a_subset_of_full_enumeration(table_x300):
 
 
 def test_census_argmax_tie_breaks_to_smallest_target(table_x300):
-    census = _finish_census(table_x300, 300, "thm3", [np.array([50, 20, 90]), np.array([20, 50, 50, 20])])
-    assert tally(census) == {20: 3, 50: 3, 90: 1}
+    census = _finish_census(table_x300, 300, "thm3", np.array([20, 50, 90]), np.array([3, 3, 1]))
     assert census.argmax == (20, 3)
     assert census.argmax_factors == (2, 2, 5)
-    empty = _finish_census(table_x300, 300, "thm3", [np.empty(0, dtype=np.int64)])
+    empty = _finish_census(table_x300, 300, "thm3", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     assert empty.argmax == (0, 0)
     assert empty.argmax_factors == ()
     assert empty.total_parents == 0
 
 
-def test_census_validation(table_x300):
+def test_census_validation(table_x300, table_x10k):
     with pytest.raises(ValueError):
         census_c3(table_x300, 300, mode="thm3")  # thm3 is the pair census
     with pytest.raises(ValueError):
@@ -169,8 +167,13 @@ def test_census_validation(table_x300):
 
     for x in (400, 700):  # 4x past the 1201 table; at 700 the box (x, 2x] is too
         with pytest.raises(CoverageError) as err:
-            census_b3(table_x300, x)
+            census_c3(table_x300, x)
         assert err.value.required_limit == 4 * x
+    # thm3 reads the table only up to the box: 2x = 800 is within reach, 1400 is not
+    assert tally(census_b3(table_x300, 400)) == _oracle_b3_by_image(table_x10k, 400)
+    with pytest.raises(CoverageError) as err:
+        census_b3(table_x300, 700)
+    assert err.value.required_limit == 2 * 700
     with pytest.raises(ValueError, match="overflow int64"):
         census_c3(table_x300, 10**8)  # r_hi**2 * 4x >= 2**63
 

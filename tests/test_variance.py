@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wdyn import (
     CoverageError,
     SequenceSample,
+    census_b3,
     prime_progression_variance,
     primes_in_range,
     residue_count_variance,
@@ -226,6 +227,26 @@ def test_progression_variance_matches_loop_numerators(table_200k, x):
     else:
         expected = fsum(num / (r * r) for num, r in zip(nums, rs))
     assert prime_progression_variance(table_200k, x).lhs == expected
+
+
+@pytest.mark.parametrize("x", [75, 100, 300, 1000])
+def test_progression_variance_is_the_variance_of_the_thm3_census(table_200k, x):
+    # with the window below the box (x >= 75) the image q*r**2 has C_r(-q) parents,
+    # so the lhs is the squared deviation of every (q, r) count from Z/r, zero counts included
+    r_lo, r_hi = window_bounds(x)
+    assert r_hi <= x
+    census = census_b3(table_200k, x)
+    counts = dict(zip(census.images.tolist(), census.counts.tolist()))
+    ps = primes_in_range(table_200k, x, 2 * x).tolist()
+    lhs = sum(
+        (
+            (Fraction(counts.get(q * r * r, 0)) - Fraction(len(ps), r)) ** 2
+            for r in primes_in_range(table_200k, r_lo, r_hi).tolist()
+            for q in ps
+        ),
+        Fraction(0),
+    )
+    assert prime_progression_variance(table_200k, x).lhs == lhs
 
 
 def test_progression_variance_validation(table_x300):
