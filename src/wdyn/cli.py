@@ -26,9 +26,9 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 logger = logging.getLogger(__name__)
 
 # default x caps of the censuses: thm1 memory grows with its parent count (201 MB at 10**4,
-# about 1 GB at 2*10**4); thm2 takes 1.4-1.7 s and 148 MB at 10**5; thm3 memory grows with its
-# image count, 1.4-1.5 s and 534 MB at 3*10**5
-CENSUS_X_CAP = {"thm1": 10_000, "thm2": 100_000, "thm3": 300_000}
+# about 1 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
+# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.8-1.0 s and 376 MB at 3*10**5
+CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 _CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk
 
@@ -142,8 +142,8 @@ def cmd_census(args) -> int:
             f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP[mode]} for "
             f"{mode} censuses; pass --allow-large to run anyway"
         )
-    # thm3 reads only the box and the window; thm1 and thm2 read P over every pair sum
-    table = _build((2 if mode == "thm3" else 4) * max(grid) + 1, args)
+    # thm2 and thm3 read classes of the box primes mod the window primes; thm1 reads P over every pair sum
+    table = _build((4 if mode == "thm1" else 2) * max(grid) + 1, args)
     print(f"{'x':>8} {'target':>20} {'count':>7} {'bound':>16} {'ratio':>12}")
     censuses = []
     for x in grid:

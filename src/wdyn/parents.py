@@ -11,9 +11,11 @@ the same congruence.  The table is read up to 2x (B3: max(2x, q)).
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
-toward the smallest image.  thm3 reads the class counts of the box
-primes mod each window prime; thm1 and thm2 read the P array over
-[0, 4x] for the window hits of the pair sums, in blocks of pivot rows.
+toward the smallest image.  A window prime r divides a pair sum
+s <= 4x exactly when P(s) = r, so thm2 and thm3 read the classes of the
+box primes mod each window prime and the table only up to 2x; thm1
+reads the P array over [0, 4x] for the window hits of the pair sums, in
+blocks of pivot rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import CoverageError
 from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_range
 
 _JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
-_ROW_BLOCK = 1 << 16  # pair sums per block of pivot rows in the thm1 and thm2 censuses
+_ROW_BLOCK = 1 << 16  # cells per block: pair sums of pivot rows (thm1), (r, prime) classes (thm2)
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -224,17 +226,32 @@ def _census_setup(x: int) -> tuple[int, int]:
     if x < 10:
         raise ValueError(f"censuses require x >= 10, got {x}")
     r_lo, r_hi = window_bounds(x)
-    # images r1*r2*q and q*r**2 are at most r_hi**2 * 4x and are formed in int64
-    if r_hi * r_hi * 4 * x >= 2**63:
+    # images r1*r2*q and q*r**2 (q = P of an even sum <= 4x, so q <= 2x) are at most
+    # r_hi**2 * 2x; a tally packs image << 8 | count, a count being at most one class mod r_lo + 1
+    if r_hi * r_hi * 2 * x >= 2**55 or -(-x // (r_lo + 1)) > 255:
         raise ValueError(f"census images at x={x} would overflow int64")
     return r_lo, r_hi
+
+
+def _tally(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct images of the entries image << 8 | count and
+    their summed counts.  Sorts ``packed`` in place and reuses it."""
+    packed.sort()
+    counts = packed & 255
+    packed >>= 8
+    first = np.ones(len(packed), dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    if first.all():  # distinct images (thm3 always): two entry-sized arrays at the peak, not four
+        return packed, counts
+    first = np.flatnonzero(first)
+    return packed[first], np.add.reduceat(counts, first)
 
 
 def _finish_census(table: PrimeTable, x: int, mode: str, images: np.ndarray, counts: np.ndarray) -> ParentCensus:
     """The census of the tally (images, counts), images ascending and
     distinct, so the first maximum count is the argmax with ties toward
     the smallest image.  Its factors are within reach of the table: two
-    of them are window primes and the third is at most 4x."""
+    of them are window primes and the third is at most 2x."""
     argmax, factors = (0, 0), ()
     if len(images):
         i = int(np.argmax(counts))
@@ -243,6 +260,30 @@ def _finish_census(table: PrimeTable, x: int, mode: str, images: np.ndarray, cou
     return ParentCensus(
         x=x, mode=mode, images=images, counts=counts, argmax=argmax, argmax_factors=factors
     )
+
+
+def _thm2_packed(ps: np.ndarray, lpf: np.ndarray, rs: np.ndarray) -> Iterator[np.ndarray]:
+    """The thm2 tally entries (q*r**2) << 8 | C_r(-b), one per pair {a, a'} of
+    box primes ``ps`` in one class b mod a window prime r, q = P(a + a'),
+    in blocks of window primes of about ``_ROW_BLOCK`` (r, prime) cells."""
+    step = max(1, _ROW_BLOCK // len(ps))
+    for i0 in range(0, len(rs), step):
+        rb = rs[i0 : i0 + step, None]
+        start = np.cumsum(rb)[:, None] - rb  # where r's classes start in the counts
+        cls = ps % rb
+        key = (start + cls).ravel()
+        c = np.bincount(key, minlength=rb.sum() + 1)
+        # class -b; for b = 0 this reads the next r's class 0, but class 0 holds r alone if any
+        opp = (start + rb - cls).ravel()
+        flat = np.flatnonzero((c[key] > 1) & (c[opp] > 0))
+        order = np.argsort(key[flat])
+        flat, key = flat[order], key[flat[order]]
+        row, p = np.divmod(flat, len(ps))
+        at = np.arange(len(key))
+        a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)
+        # P(a + a') = P((a + a') / 2), and q != r: r | a + a' needs 2b = 0 mod r, and class 0 has no pair
+        q = lpf[(ps[p[a]] + ps[p[b]]) >> 1]
+        yield (q * rb[row[a], 0] ** 2) << 8 | c[opp[flat[a]]]
 
 
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
@@ -258,13 +299,19 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
       prime r), giving images of the form q*r**2.
 
     Each qualifying triple is counted exactly once regardless of how
-    many designated primes qualify.  Both modes sort each block of
-    window hits into runs, by pivot (thm1) or by (pivot, r) (thm2), and
-    pair each hit with its run's later ones; only the filter differs.
+    many designated primes qualify.  thm1 pairs the window hits of each
+    pivot's pair sums.  thm2 pairs the box primes within one class b mod
+    a window prime r: each pair {a, a'} gives q*r**2, q = P(a + a'), one
+    parent per box prime in class -b.
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
     r_lo, r_hi = _census_setup(x)
+    if mode == "thm2":
+        lpf = largest_prime_factors(table, 2 * x)  # first, so a short table asks for 2x
+        ps = primes_in_range(table, x, 2 * x)
+        packed = np.concatenate(list(_thm2_packed(ps, lpf, primes_in_range(table, r_lo, r_hi))))
+        return _finish_census(table, x, mode, *_tally(packed))
     lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
     ps = primes_in_range(table, x, 2 * x)
     rows = []
@@ -274,18 +321,14 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
         np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
         flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
         piv, j = np.divmod(flat, len(ps))
-        piv, r = ps[i0 + piv], block.ravel()[flat]  # pivot-then-partner order
-        key = piv if mode == "thm1" else piv * (r_hi + 1) + r
-        order = np.argsort(key, kind="stable")  # partners stay ascending in a run
-        key, piv, p, r = key[order], piv[order], ps[j[order]], r[order]
-        at = np.arange(len(key))
-        a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)  # p[a] < p[b]
+        piv, p, r = ps[i0 + piv], ps[j], block.ravel()[flat]  # row by row: runs of one pivot, partners ascending
+        at = np.arange(len(piv))
+        a, b = _ragged(at + 1, np.searchsorted(piv, piv, side="right") - at - 1)  # p[a] < p[b]
         s = p[a]
         s += p[b]  # in place, as in _ragged: one fresh pair-sized array fewer per block
         r1, r2, q = r[a], r[b], lpf[s]
-        ok = (q != r1) & (q != r2)  # else not C3; in thm2 q != r leaves the pivot the only designated prime
-        if mode == "thm1":  # q in the window designates all three: count at the smallest
-            ok &= (r1 != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
+        # q not in {r1, r2}, else not C3; q in the window designates all three: count at the smallest
+        ok = (r1 != r2) & (q != r1) & (q != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
         rows.append(r1[ok] * r2[ok] * q[ok])
     return _finish_census(table, x, mode, *np.unique(np.concatenate(rows), return_counts=True))
 
@@ -304,15 +347,12 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     ps = primes_in_range(table, x, 2 * x)
     box = np.zeros(x, dtype=np.uint8)
     box[ps - (x + 1)] = 1
-    images, counts = [], []
+    packed = []
     for r, c in class_counts(box, x, primes_in_range(table, r_lo, r_hi).tolist()):
         c = c[-ps % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
-        images.append(ps[c > 0] * (r * r))  # (q, r) fixes the image: no two are equal
-        counts.append(c[c > 0])
-    images, counts = np.concatenate(images), np.concatenate(counts)
-    order = np.argsort(images)
-    images = images[order]  # rebound before counts[order]: one image-sized array fewer at the peak
-    return _finish_census(table, x, "thm3", images, counts[order])
+        packed.append((ps[c > 0] * (r * r)) << 8 | c[c > 0])  # (q, r) fixes the image
+    packed = np.concatenate(packed)  # rebound: the blocks are freed before the sort
+    return _finish_census(table, x, "thm3", *_tally(packed))
 
 
 @dataclass(frozen=True)

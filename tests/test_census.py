@@ -15,6 +15,7 @@ from wdyn import (
 )
 from wdyn import oracle
 from wdyn.parents import _finish_census
+from wdyn.primes import primes_in_range
 
 
 def tally(census):
@@ -32,9 +33,12 @@ def _oracle_b3_by_image(table, x):
     return out
 
 
-@pytest.mark.parametrize("x", [100, 200])
-@pytest.mark.parametrize("mode", ["thm1", "thm2"])
-def test_census_c3_matches_oracle(table_x300, x, mode):
+# below x = 75 the window reaches into the box, so a window prime r can be a box prime,
+# the lone member of its class 0 mod r
+@pytest.mark.parametrize(
+    "mode, x", [("thm1", 100), ("thm1", 200), *(("thm2", x) for x in (*range(10, 75), 100, 200))]
+)
+def test_census_c3_matches_oracle(table_x300, mode, x):
     got = census_c3(table_x300, x, mode=mode)
     assert tally(got) == oracle.census_c3(table_x300, x, mode)
 
@@ -105,10 +109,14 @@ def test_census_c3_frozen_argmax(table_x10k, table_200k):
 @pytest.mark.parametrize("x", [300, 1000])
 @pytest.mark.parametrize("mode", ["thm1", "thm2"])
 def test_census_across_row_blocks(table_x10k, monkeypatch, mode, x):
-    # 47 box primes at x = 300 and 135 at x = 1000: blocks of one pivot row, of
-    # 2 rows (a last one of 1) or one row, and of 21 or 7 rows, the last one partial
+    # 47 box primes at x = 300 and 135 at x = 1000.  thm1 takes blocks of pivot rows of
+    # pair sums: one row, 2 rows (a last one of 1) or one row, 21 or 7 rows, the last one
+    # partial.  thm2 takes blocks of window primes, a row of box-prime classes each: of
+    # the 20 window primes at x = 300 and 37 at x = 1000, one, two (a last one of 1 at
+    # x = 1000) or all of them
+    n = len(primes_in_range(table_x10k, x, 2 * x))
     want = oracle.census_c3(table_x10k, x, mode)
-    for block in (1, 97, 1000):
+    for block in (1, 97, 1000) if mode == "thm1" else (1, 2 * n, 10**9):
         monkeypatch.setattr("wdyn.parents._ROW_BLOCK", block)
         assert tally(census_c3(table_x10k, x, mode=mode)) == want, block
 
@@ -169,13 +177,23 @@ def test_census_validation(table_x300, table_x10k):
         with pytest.raises(CoverageError) as err:
             census_c3(table_x300, x)
         assert err.value.required_limit == 4 * x
+    # thm2 reads P only over [0, 2x]: 800 is within reach, 1400 is not
+    assert tally(census_c3(table_x300, 400, mode="thm2")) == oracle.census_c3(table_x10k, 400, "thm2")
+    with pytest.raises(CoverageError) as err:
+        census_c3(table_x300, 700, mode="thm2")
+    assert err.value.required_limit == 2 * 700
     # thm3 reads the table only up to the box: 2x = 800 is within reach, 1400 is not
     assert tally(census_b3(table_x300, 400)) == _oracle_b3_by_image(table_x10k, 400)
     with pytest.raises(CoverageError) as err:
         census_b3(table_x300, 700)
     assert err.value.required_limit == 2 * 700
-    with pytest.raises(ValueError, match="overflow int64"):
-        census_c3(table_x300, 10**8)  # r_hi**2 * 4x >= 2**63
+    # a tally packs image << 8 | count in int64, and images reach r_hi**2 * 2x: x = 4387881
+    # is the first x with r_hi**2 * 2x >= 2**55; just below it the short table is the error
+    for census in (census_c3, census_b3, lambda t, x: census_c3(t, x, mode="thm2")):
+        with pytest.raises(ValueError, match="overflow int64"):
+            census(table_x300, 4387881)
+        with pytest.raises(CoverageError):
+            census(table_x300, 4387880)
 
 
 def test_census_json_schema(table_x300):

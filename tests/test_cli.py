@@ -243,18 +243,19 @@ def test_census_triple_mode_x_cap(capsys, monkeypatch):
         raise ValueError(f"past the cap: table of limit {limit}")
 
     monkeypatch.setattr(cli, "_build", no_table)
-    for mode, grid in (("thm1", "300,20000"), ("thm2", "300,200000"), ("thm3", "300,300001")):
+    for mode, grid in (("thm1", "300,20000"), ("thm2", "300,300001"), ("thm3", "300,300001")):
         code, _, err = run(capsys, "census", "--mode", mode, "--x-grid", grid)
         assert code == 1
         assert "--allow-large" in err and "past the cap" not in err
-    # each mode has its own cap: thm2 at 10**5 is under it and goes on to build its table
-    code, _, err = run(capsys, "census", "--mode", "thm2", "--x-grid", "300,100000")
+    # each mode has its own cap: thm1 at 10**4 is under it and goes on to build its table
+    code, _, err = run(capsys, "census", "--mode", "thm1", "--x-grid", "300,10000")
     assert code == 1
-    assert "past the cap: table of limit 400001" in err
-    # thm3 reads the table only up to the box, so it asks for 2x, not 4x
-    code, _, err = run(capsys, "census", "--mode", "thm3", "--x-grid", "300,300000")
-    assert code == 1
-    assert "past the cap: table of limit 600001" in err
+    assert "past the cap: table of limit 40001" in err
+    # thm2 and thm3 read the table only up to the box, so they ask for 2x, not 4x
+    for mode, grid, limit in (("thm2", "300,100000", 200001), ("thm3", "300,300000", 600001)):
+        code, _, err = run(capsys, "census", "--mode", mode, "--x-grid", grid)
+        assert code == 1
+        assert f"past the cap: table of limit {limit}" in err
 
 
 def test_census_usage_error_exit_code(capsys):
