@@ -28,7 +28,7 @@ def fmt(t: Triple) -> str:
 
 
 x = 100
-table = build_prime_table(4 * x + 1)
+table = build_prime_table(2 * x)  # searches read the table only up to the box
 box = primes_in_range(table, x, 2 * x).tolist()
 print(f"box (x, 2x] = ({x}, {2 * x}]: {len(box)} primes, "
       f"{len(list(combinations(box, 3)))} candidate triples")
@@ -37,9 +37,10 @@ print()
 print("=== C3 target ===")
 target = apply_w(table, Triple(101, 103, 107))
 print(f"target: w(101*103*107) = {fmt(target)} ({target.cls.value})")
+oracle_table = build_prime_table(4 * x)  # the brute force reads P over every pair sum, up to 4x
 routes = {
     "accelerated": lambda: find_parents(table, ParentQuery(target=target, x=x)),
-    "brute force": lambda: sorted(oracle.find_c3_parents(table, target, x)),
+    "brute force": lambda: sorted(oracle.find_c3_parents(oracle_table, target, x)),
 }
 found = {}
 for label, search in routes.items():

@@ -25,7 +25,7 @@ from .variance import SequenceSample, prime_progression_variance, residue_count_
 
 logger = logging.getLogger(__name__)
 
-# default x caps of the censuses: thm1 memory grows with its parent count (201 MB at 10**4,
+# default x caps of the censuses: thm1 memory grows with its parent count (192 MB at 10**4,
 # about 1 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
 # and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.8-1.0 s and 376 MB at 3*10**5
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
@@ -142,8 +142,7 @@ def cmd_census(args) -> int:
             f"x={too_big[0]} exceeds the default cap {CENSUS_X_CAP[mode]} for "
             f"{mode} censuses; pass --allow-large to run anyway"
         )
-    # thm2 and thm3 read classes of the box primes mod the window primes; thm1 reads P over every pair sum
-    table = _build((4 if mode == "thm1" else 2) * max(grid) + 1, args)
+    table = _build(2 * max(grid), args)  # the table lemma3 builds: censuses read it and P only up to 2x
     print(f"{'x':>8} {'target':>20} {'count':>7} {'bound':>16} {'ratio':>12}")
     censuses = []
     for x in grid:

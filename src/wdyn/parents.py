@@ -13,9 +13,9 @@ Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
 toward the smallest image.  A window prime r divides a pair sum
 s <= 4x exactly when P(s) = r, so thm2 and thm3 read the classes of the
-box primes mod each window prime and the table only up to 2x; thm1
-reads the P array over [0, 4x] for the window hits of the pair sums, in
-blocks of pivot rows.
+box primes mod each window prime; thm1 reads the window hits of the
+pair sums in blocks of pivot rows.  A pair sum s of box primes is even,
+so P(s) = P(s / 2), and every census reads the table and P only to 2x.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarra
     idx = np.repeat(starts + lens - np.cumsum(lens), lens)
     idx += np.arange(len(owner))  # in place: a fresh array here took longer than both repeats
     return owner, idx
+
+
+def _run_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for each i < j in one run of equal entries of the sorted ``key``."""
+    at = np.arange(len(key))
+    return _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)
 
 
 def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
@@ -206,13 +212,14 @@ class ParentCensus:
         return list(zip(self.images.tolist(), self.counts.tolist()))
 
 
-def class_counts(box: np.ndarray, lo: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(r, counts) for each r in rs, counts[b] the int64 number of members in
-    class b mod r of the set with 0/1 indicator ``box``, box[i] marking lo + 1 + i.
-    Sums the rows of length r of the zero-padded indicator, 255 per uint8 reduction."""
+def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(r, counts) for each r in rs, counts[b] the int64 number of ``members``
+    (distinct integers in (lo, hi]) in class b mod r.  Sums the rows of length r
+    of the members' zero-padded 0/1 indicator, 255 per uint8 reduction."""
     pad = max(rs, default=0)
-    padded = np.pad(box.astype(np.uint8), pad)  # padded[i] marks base + i
-    base, hi = lo + 1 - pad, lo + box.size
+    base = lo + 1 - pad
+    padded = np.zeros(hi - lo + 2 * pad, dtype=np.uint8)  # padded[i] marks base + i
+    padded[members - base] = 1
     for r in rs:
         rows = padded[(lo + 1) // r * r - base : -(-(hi + 1) // r) * r - base].reshape(-1, r)
         counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
@@ -221,16 +228,16 @@ def class_counts(box: np.ndarray, lo: int, rs: list[int]) -> Iterator[tuple[int,
         yield r, counts
 
 
-def _census_setup(x: int) -> tuple[int, int]:
-    """The window bounds of a census, once x is checked."""
+def _census_setup(table: PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box and window primes of a census, x checked; the box first, so a short table asks for 2x."""
     if x < 10:
         raise ValueError(f"censuses require x >= 10, got {x}")
     r_lo, r_hi = window_bounds(x)
-    # images r1*r2*q and q*r**2 (q = P of an even sum <= 4x, so q <= 2x) are at most
+    # images r1*r2*q and q*r**2 (q = P of half an even pair sum, so q <= 2x) are at most
     # r_hi**2 * 2x; a tally packs image << 8 | count, a count being at most one class mod r_lo + 1
     if r_hi * r_hi * 2 * x >= 2**55 or -(-x // (r_lo + 1)) > 255:
         raise ValueError(f"census images at x={x} would overflow int64")
-    return r_lo, r_hi
+    return primes_in_range(table, x, 2 * x), primes_in_range(table, r_lo, r_hi)
 
 
 def _tally(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +286,7 @@ def _thm2_packed(ps: np.ndarray, lpf: np.ndarray, rs: np.ndarray) -> Iterator[np
         order = np.argsort(key[flat])
         flat, key = flat[order], key[flat[order]]
         row, p = np.divmod(flat, len(ps))
-        at = np.arange(len(key))
-        a, b = _ragged(at + 1, np.searchsorted(key, key, side="right") - at - 1)
+        a, b = _run_pairs(key)
         # P(a + a') = P((a + a') / 2), and q != r: r | a + a' needs 2b = 0 mod r, and class 0 has no pair
         q = lpf[(ps[p[a]] + ps[p[b]]) >> 1]
         yield (q * rb[row[a], 0] ** 2) << 8 | c[opp[flat[a]]]
@@ -302,30 +308,29 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     many designated primes qualify.  thm1 pairs the window hits of each
     pivot's pair sums.  thm2 pairs the box primes within one class b mod
     a window prime r: each pair {a, a'} gives q*r**2, q = P(a + a'), one
-    parent per box prime in class -b.
+    parent per box prime in class -b.  Both read P over [0, 2x]: pair
+    sums s of box primes are even and past 4, so P(s) = P(s / 2).
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
-    r_lo, r_hi = _census_setup(x)
+    ps, rs = _census_setup(table, x)
+    lpf = largest_prime_factors(table, 2 * x)
     if mode == "thm2":
-        lpf = largest_prime_factors(table, 2 * x)  # first, so a short table asks for 2x
-        ps = primes_in_range(table, x, 2 * x)
-        packed = np.concatenate(list(_thm2_packed(ps, lpf, primes_in_range(table, r_lo, r_hi))))
+        packed = np.concatenate(list(_thm2_packed(ps, lpf, rs)))
         return _finish_census(table, x, mode, *_tally(packed))
-    lpf = largest_prime_factors(table, 4 * x)  # first, so a short table asks for 4x
-    ps = primes_in_range(table, x, 2 * x)
+    r_lo, r_hi = window_bounds(x)
     rows = []
     step = max(1, _ROW_BLOCK // len(ps))
     for i0 in range(0, len(ps), step):
-        block = lpf[ps[i0 : i0 + step, None] + ps]
+        block = lpf[(ps[i0 : i0 + step, None] + ps) >> 1]
         np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
         flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
         piv, j = np.divmod(flat, len(ps))
         piv, p, r = ps[i0 + piv], ps[j], block.ravel()[flat]  # row by row: runs of one pivot, partners ascending
-        at = np.arange(len(piv))
-        a, b = _ragged(at + 1, np.searchsorted(piv, piv, side="right") - at - 1)  # p[a] < p[b]
+        a, b = _run_pairs(piv)  # p[a] < p[b]
         s = p[a]
         s += p[b]  # in place, as in _ragged: one fresh pair-sized array fewer per block
+        s >>= 1
         r1, r2, q = r[a], r[b], lpf[s]
         # q not in {r1, r2}, else not C3; q in the window designates all three: count at the smallest
         ok = (r1 != r2) & (q != r1) & (q != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
@@ -343,12 +348,9 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     the box primes in class b mod r, the counts lemma3 reads too.  No
     pair sum is formed, and the table is read only up to 2x.
     """
-    r_lo, r_hi = _census_setup(x)
-    ps = primes_in_range(table, x, 2 * x)
-    box = np.zeros(x, dtype=np.uint8)
-    box[ps - (x + 1)] = 1
+    ps, rs = _census_setup(table, x)
     packed = []
-    for r, c in class_counts(box, x, primes_in_range(table, r_lo, r_hi).tolist()):
+    for r, c in class_counts(ps, x, 2 * x, rs.tolist()):
         c = c[-ps % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
         packed.append((ps[c > 0] * (r * r)) << 8 | c[c > 0])  # (q, r) fixes the image
     packed = np.concatenate(packed)  # rebound: the blocks are freed before the sort

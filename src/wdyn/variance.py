@@ -142,9 +142,7 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
     ps = primes_in_range(table, x, 2 * x)  # first, so a short table asks for 2x
     r_lo, r_hi = window_bounds(x)
     rs = primes_in_range(table, r_lo, r_hi).tolist()
-    box = np.zeros(x, dtype=np.uint8)  # box[i] marks x + 1 + i
-    box[ps - (x + 1)] = 1
-    nums = _progression_numerators(box, x, rs)
+    nums = _progression_numerators(ps, x, 2 * x, rs)
     if x <= EXACT_X_CUTOFF:
         lhs = sum((Fraction(num, r * r) for num, r in zip(nums, rs)), Fraction(0))
     else:
@@ -159,9 +157,9 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
     )
 
 
-def _progression_numerators(box: np.ndarray, lo: int, rs: list[int]) -> list[int]:
+def _progression_numerators(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> list[int]:
     """num_r = r**2 * sum over members p1 of (count in class -p1 mod r - Z/r)**2,
-    exactly, for each r in rs; ``box`` is the set's 0/1 indicator, box[i] marking lo + 1 + i.
+    exactly, for each r in rs; ``members`` are Z distinct integers in (lo, hi].
 
     The p1-sum collapses to classes: num_r = sum_b w_b * (r * c_b - Z)**2
     with c_b the count in class b and w_b = c_(-b), a reversed view.  The
@@ -173,9 +171,9 @@ def _progression_numerators(box: np.ndarray, lo: int, rs: list[int]) -> list[int
     x**2 / log(x)**5 (3.8e8 at x = 10**7), far below 2**63 on any table
     below 2**32.
     """
-    z = int(np.count_nonzero(box))
+    z = len(members)
     nums = []
-    for r, counts in class_counts(box, lo, rs):
+    for r, counts in class_counts(members, lo, hi, rs):
         c0, top = int(counts[0]), int(counts.max())
         if z * top * top >= 2**63:
             raise ValueError(f"class counts mod {r} overflow int64: Z * max(c)**2 >= 2**63")

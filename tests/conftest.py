@@ -5,7 +5,8 @@ from wdyn import build_prime_table
 
 @pytest.fixture(scope="session")
 def table_x300():
-    """Covers parent searches and censuses up to x = 300 (4x = 1200)."""
+    """Covers the oracles up to x = 300, which read P over [0, 4x] = [0, 1200];
+    parent searches and censuses read the table only up to 2x."""
     return build_prime_table(1201)
 
 
@@ -16,7 +17,7 @@ def table_10k():
 
 @pytest.fixture(scope="session")
 def table_x10k():
-    """Covers census grids up to x = 10^4 (4x + 1)."""
+    """Covers the oracles up to x = 10^4 (4x + 1), and census grids up to 2 * 10^4 (2x)."""
     return build_prime_table(40_001)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wdyn import (
+    build_prime_table,
     census_b3,
     census_c3,
     classify,
@@ -34,10 +35,8 @@ def _oracle_b3_by_image(table, x):
 
 
 # below x = 75 the window reaches into the box, so a window prime r can be a box prime,
-# the lone member of its class 0 mod r
-@pytest.mark.parametrize(
-    "mode, x", [("thm1", 100), ("thm1", 200), *(("thm2", x) for x in (*range(10, 75), 100, 200))]
-)
+# the lone member of its class 0 mod r, and a pivot's pair sum with itself can be a hit
+@pytest.mark.parametrize("mode, x", [(mode, x) for mode in ("thm1", "thm2") for x in (*range(10, 75), 100, 200)])
 def test_census_c3_matches_oracle(table_x300, mode, x):
     got = census_c3(table_x300, x, mode=mode)
     assert tally(got) == oracle.census_c3(table_x300, x, mode)
@@ -49,6 +48,16 @@ def test_census_c3_matches_oracle(table_x300, mode, x):
 def test_census_b3_matches_oracle(table_x300, x):
     got = census_b3(table_x300, x)
     assert tally(got) == _oracle_b3_by_image(table_x300, x)
+
+
+@pytest.mark.parametrize("x", [10, 74, 100, 300, 1000])
+def test_census_on_a_table_of_limit_2x(table_x10k, x):
+    # every mode reads the table and P only up to 2x; the oracles read P up to 4x
+    table = build_prime_table(2 * x)
+    assert table.limit == 2 * x
+    assert tally(census_b3(table, x)) == _oracle_b3_by_image(table_x10k, x)
+    for mode in ("thm1", "thm2"):
+        assert tally(census_c3(table, x, mode=mode)) == oracle.census_c3(table_x10k, x, mode), mode
 
 
 def test_census_sweep_matches_oracle_at_seeded_xs(table_x10k):
@@ -173,23 +182,16 @@ def test_census_validation(table_x300, table_x10k):
         census_b3(table_x300, 5)
     from wdyn import CoverageError
 
-    for x in (400, 700):  # 4x past the 1201 table; at 700 the box (x, 2x] is too
-        with pytest.raises(CoverageError) as err:
-            census_c3(table_x300, x)
-        assert err.value.required_limit == 4 * x
-    # thm2 reads P only over [0, 2x]: 800 is within reach, 1400 is not
-    assert tally(census_c3(table_x300, 400, mode="thm2")) == oracle.census_c3(table_x10k, 400, "thm2")
-    with pytest.raises(CoverageError) as err:
-        census_c3(table_x300, 700, mode="thm2")
-    assert err.value.required_limit == 2 * 700
-    # thm3 reads the table only up to the box: 2x = 800 is within reach, 1400 is not
+    # every mode reads the table and P only up to the box: 2x = 800 is within reach, 1400 is not
     assert tally(census_b3(table_x300, 400)) == _oracle_b3_by_image(table_x10k, 400)
-    with pytest.raises(CoverageError) as err:
-        census_b3(table_x300, 700)
-    assert err.value.required_limit == 2 * 700
-    # a tally packs image << 8 | count in int64, and images reach r_hi**2 * 2x: x = 4387881
-    # is the first x with r_hi**2 * 2x >= 2**55; just below it the short table is the error
+    for mode in ("thm1", "thm2"):
+        assert tally(census_c3(table_x300, 400, mode=mode)) == oracle.census_c3(table_x10k, 400, mode)
     for census in (census_c3, census_b3, lambda t, x: census_c3(t, x, mode="thm2")):
+        with pytest.raises(CoverageError) as err:
+            census(table_x300, 700)
+        assert err.value.required_limit == 2 * 700
+        # a tally packs image << 8 | count in int64, and images reach r_hi**2 * 2x: x = 4387881
+        # is the first x with r_hi**2 * 2x >= 2**55; just below it the short table is the error
         with pytest.raises(ValueError, match="overflow int64"):
             census(table_x300, 4387881)
         with pytest.raises(CoverageError):

@@ -250,9 +250,9 @@ def test_census_triple_mode_x_cap(capsys, monkeypatch):
     # each mode has its own cap: thm1 at 10**4 is under it and goes on to build its table
     code, _, err = run(capsys, "census", "--mode", "thm1", "--x-grid", "300,10000")
     assert code == 1
-    assert "past the cap: table of limit 40001" in err
-    # thm2 and thm3 read the table only up to the box, so they ask for 2x, not 4x
-    for mode, grid, limit in (("thm2", "300,100000", 200001), ("thm3", "300,300000", 600001)):
+    assert "past the cap: table of limit 20000" in err
+    # every mode reads the table only up to the box, so asks for 2x, the table lemma3 builds
+    for mode, grid, limit in (("thm2", "300,100000", 200000), ("thm3", "300,300000", 600000)):
         code, _, err = run(capsys, "census", "--mode", mode, "--x-grid", grid)
         assert code == 1
         assert f"past the cap: table of limit {limit}" in err

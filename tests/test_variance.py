@@ -161,7 +161,7 @@ def test_progression_variance_matches_oracle_x100(table_x300):
 
 
 def test_progression_variance_empty_window():
-    assert _progression_numerators(np.ones(100, dtype=np.uint8), 100, []) == []
+    assert _progression_numerators(np.arange(101, 201), 100, 200, []) == []
 
 
 def test_progression_variance_float_agrees_with_exact(table_200k):
@@ -187,33 +187,28 @@ def test_progression_numerators_int64_match_python_ints(table_200k):
     ps = primes_in_range(table_200k, x, 2 * x)
     z = ps.size
     assert z * z * z < 2**63  # Z * max(c)**2 <= Z**3: every r passes the int64 guard
-    box = np.isin(np.arange(x + 1, 2 * x + 1), ps)
-    assert _progression_numerators(box, x, rs) == numerators_by_loop(ps.tolist(), rs)
+    assert _progression_numerators(ps, x, 2 * x, rs) == numerators_by_loop(ps.tolist(), rs)
 
 
 def test_progression_numerators_exact_past_int64():
     # the 30000 multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63,
     # while the int64 dots only reach Z * max(c)**2 = 30000**3
-    box = np.zeros(1009 * 30_000, dtype=np.uint8)
-    box[1008::1009] = 1  # box[i] marks i + 1
-    nums = _progression_numerators(box, 0, [3, 1009])
-    ps = list(range(1009, 1009 * 30_000 + 1, 1009))
-    assert nums == numerators_by_loop(ps, [3, 1009])
+    ps = np.arange(1009, 1009 * 30_000 + 1, 1009)
+    nums = _progression_numerators(ps, 0, 1009 * 30_000, [3, 1009])
+    assert nums == numerators_by_loop(ps.tolist(), [3, 1009])
     assert nums[1] >= 2**63
 
 
 def test_progression_numerators_refuse_int64_overflow():
-    # r = 1 over 2 100 000 ones: Z * c_0**2 = 2.1e6**3 ~ 9.26e18 >= 2**63
-    box = np.ones(2_100_000, dtype=np.uint8)
+    # r = 1 over the 2 100 000 integers in (0, 2.1e6]: Z * c_0**2 = 2.1e6**3 ~ 9.26e18 >= 2**63
     with pytest.raises(ValueError, match="overflow int64"):
-        _progression_numerators(box, 0, [1])
+        _progression_numerators(np.arange(1, 2_100_001), 0, 2_100_000, [1])
 
 
 def test_progression_numerators_chunked_uint8():
     # every integer in (3000, 6000]: classes hold 1000 (r = 3) and ~429 (r = 7)
     # members, more than one uint8 column sum can count
-    box = np.ones(3000, dtype=np.uint8)
-    nums = _progression_numerators(box, 3000, [3, 7])
+    nums = _progression_numerators(np.arange(3001, 6001), 3000, 6000, [3, 7])
     assert nums == numerators_by_loop(list(range(3001, 6001)), [3, 7])
 
 
