@@ -27,7 +27,8 @@ logger = logging.getLogger(__name__)
 
 # default x caps of the censuses: thm1 memory grows with its parent count (192 MB at 10**4,
 # about 1 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
-# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.8-1.0 s and 376 MB at 3*10**5
+# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.7-0.8 s and a 405 MB process
+# peak at 3*10**5 (295 MB with glibc's mmap threshold fixed at 128 KiB: the rest is malloc's, not live)
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 _CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk

@@ -213,15 +213,18 @@ class ParentCensus:
 
 
 def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(r, counts) for each r in rs, counts[b] the int64 number of ``members``
-    (distinct integers in (lo, hi]) in class b mod r.  Sums the rows of length r
-    of the members' zero-padded 0/1 indicator, 255 per uint8 reduction."""
-    pad = max(rs, default=0)
-    base = lo + 1 - pad
-    padded = np.zeros(hi - lo + 2 * pad, dtype=np.uint8)  # padded[i] marks base + i
-    padded[members - base] = 1
+    """(r, d) for each odd r in rs, d[j] the int64 number of ``members`` (distinct
+    odd integers in (lo, hi]) with m = 2j + 1 (mod r), so class -m sits at r - 1 - j.
+    Sums the rows of length r of the zero-padded 0/1 indicator of k = m >> 1 over
+    [lo // 2, (hi - 1) // 2] (2 is invertible mod r), 255 per uint8 reduction."""
+    if not (members & 1).all() or any(r % 2 == 0 for r in rs):
+        raise ValueError("class counts take odd members and odd moduli")
+    pad, klo, khi = max(rs, default=0), lo // 2, (hi - 1) // 2
+    base = klo - pad
+    padded = np.zeros(khi - klo + 1 + 2 * pad, dtype=np.uint8)  # padded[i] marks k = base + i
+    padded[(members >> 1) - base] = 1
     for r in rs:
-        rows = padded[(lo + 1) // r * r - base : -(-(hi + 1) // r) * r - base].reshape(-1, r)
+        rows = padded[klo // r * r - base : -(-(khi + 1) // r) * r - base].reshape(-1, r)
         counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
         for k in range(255, len(rows), 255):  # a uint8 sum of <= 255 rows cannot wrap
             counts += rows[k : k + 255].sum(axis=0, dtype=np.uint8)
@@ -345,13 +348,14 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     parent p*q**2 of the image q*r**2.  A window prime r exceeds s / r
     for every s <= 4x (x >= 10 gives log x > 2), so P(s) = r exactly
     when r | s: q*r**2 has C_r(-q) - [q = r] parents, C_r(b) counting
-    the box primes in class b mod r, the counts lemma3 reads too.  No
-    pair sum is formed, and the table is read only up to 2x.
+    the box primes in class b mod r, read at d[r - 1 - (q >> 1) % r] of
+    lemma3's :func:`class_counts`.  No pair sum is formed, and the table
+    is read only up to 2x.
     """
     ps, rs = _census_setup(table, x)
-    packed = []
-    for r, c in class_counts(ps, x, 2 * x, rs.tolist()):
-        c = c[-ps % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
+    k, packed = ps >> 1, []
+    for r, d in class_counts(ps, x, 2 * x, rs.tolist()):
+        c = d[r - 1 - k % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
         packed.append((ps[c > 0] * (r * r)) << 8 | c[c > 0])  # (q, r) fixes the image
     packed = np.concatenate(packed)  # rebound: the blocks are freed before the sort
     return _finish_census(table, x, "thm3", *_tally(packed))

@@ -9,10 +9,12 @@ the bound x**2 / log(x).
 The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
 sum over r of num_r / r**2 with an integer numerator num_r, combined in
-Python ints from two int64 dot products of the class counts mod r that
-the thm3 census reads too (for x >= 75 the sum is that census's
-variance).  The lhs is the exact rational sum for x <= EXACT_X_CUTOFF
-and the compensated sum of the correctly rounded num_r / r**2 beyond it.
+Python ints from two int64 sums over the class counts mod r that the
+thm3 census reads too (for x >= 75 the sum is that census's variance).
+Box and window primes are odd, so the counts index a member m by
+m >> 1; there negation mod r is a reversal, and both sums fold to half
+length.  The lhs is the exact rational sum for x <= EXACT_X_CUTOFF and
+the compensated sum of the correctly rounded num_r / r**2 beyond it.
 """
 
 from __future__ import annotations
@@ -159,26 +161,29 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
 
 def _progression_numerators(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> list[int]:
     """num_r = r**2 * sum over members p1 of (count in class -p1 mod r - Z/r)**2,
-    exactly, for each r in rs; ``members`` are Z distinct integers in (lo, hi].
+    exactly, for each odd r in rs; ``members`` are Z distinct odd integers in (lo, hi].
 
     The p1-sum collapses to classes: num_r = sum_b w_b * (r * c_b - Z)**2
-    with c_b the count in class b and w_b = c_(-b), a reversed view.  The
-    w_b sum to Z, so num_r = r**2 * S2 - 2*r*Z * S1 + Z**3 with
-    S1 = sum_b w_b * c_b and S2 = sum_b w_b * c_b**2, combined in Python
-    ints, with the c_b of :func:`~wdyn.parents.class_counts`.  S1 and S2
-    are int64 dot products, exact while Z * max(c)**2 < 2**63; past that
-    it raises ValueError.  For window moduli that product grows like
+    with c_b the count in class b and w_b = c_(-b).  The w_b sum to Z, so
+    num_r = r**2 * S2 - 2*r*Z * S1 + Z**3 with S1 = sum_b w_b * c_b and
+    S2 = sum_b w_b * c_b**2, combined in Python ints.  The counts d of
+    :func:`~wdyn.parents.class_counts` hold class -b at the reversed index,
+    so both sums fold at h = r // 2: with a = d[:h], b = d[:h:-1], m = d[h]
+    and e = a * b, S1 = 2 * sum(e) + m**2 and S2 = e . (a + b) + m**3.
+    The int64 sums are exact while Z * max(c)**2 < 2**63; past that it
+    raises ValueError.  For window moduli that product grows like
     x**2 / log(x)**5 (3.8e8 at x = 10**7), far below 2**63 on any table
     below 2**32.
     """
     z = len(members)
     nums = []
-    for r, counts in class_counts(members, lo, hi, rs):
-        c0, top = int(counts[0]), int(counts.max())
+    for r, d in class_counts(members, lo, hi, rs):
+        top, h = int(d.max()), r // 2
         if z * top * top >= 2**63:
             raise ValueError(f"class counts mod {r} overflow int64: Z * max(c)**2 >= 2**63")
-        w, c = counts[:0:-1], counts[1:]  # the b = 0 term pairs c_0 with itself
-        s1 = c0 * c0 + int(np.dot(w, c))
-        s2 = c0**3 + int(np.dot(w, c * c))
+        a, b, m = d[:h], d[:h:-1], int(d[h])
+        e = a * b
+        s1 = 2 * int(e.sum()) + m * m
+        s2 = int(np.dot(e, a + b)) + m**3
         nums.append(r * r * s2 - 2 * r * z * s1 + z**3)
     return nums

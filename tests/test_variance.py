@@ -1,6 +1,7 @@
 """Residue-count and progression variance sums, against literal
 direct-summation oracles in exact rationals."""
 
+from collections import Counter
 from fractions import Fraction
 from math import fsum
 
@@ -20,6 +21,7 @@ from wdyn import (
     window_bounds,
 )
 from wdyn import oracle
+from wdyn.parents import class_counts
 from wdyn.variance import EXACT_X_CUTOFF, _progression_numerators
 
 samples = st.builds(
@@ -161,7 +163,7 @@ def test_progression_variance_matches_oracle_x100(table_x300):
 
 
 def test_progression_variance_empty_window():
-    assert _progression_numerators(np.arange(101, 201), 100, 200, []) == []
+    assert _progression_numerators(np.arange(101, 201, 2), 100, 200, []) == []
 
 
 def test_progression_variance_float_agrees_with_exact(table_200k):
@@ -191,25 +193,58 @@ def test_progression_numerators_int64_match_python_ints(table_200k):
 
 
 def test_progression_numerators_exact_past_int64():
-    # the 30000 multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63,
+    # the 30000 odd multiples of 1009, all in class 0: num_1009 = Z * (1008 * Z)**2 > 2**63,
     # while the int64 dots only reach Z * max(c)**2 = 30000**3
-    ps = np.arange(1009, 1009 * 30_000 + 1, 1009)
-    nums = _progression_numerators(ps, 0, 1009 * 30_000, [3, 1009])
+    ps = np.arange(1009, 1009 * 60_000, 2 * 1009)
+    nums = _progression_numerators(ps, 0, 1009 * 60_000, [3, 1009])
     assert nums == numerators_by_loop(ps.tolist(), [3, 1009])
     assert nums[1] >= 2**63
 
 
 def test_progression_numerators_refuse_int64_overflow():
-    # r = 1 over the 2 100 000 integers in (0, 2.1e6]: Z * c_0**2 = 2.1e6**3 ~ 9.26e18 >= 2**63
+    # r = 1 over the 2 100 000 odd integers in (0, 4.2e6]: Z * c_0**2 = 2.1e6**3 ~ 9.26e18 >= 2**63
     with pytest.raises(ValueError, match="overflow int64"):
-        _progression_numerators(np.arange(1, 2_100_001), 0, 2_100_000, [1])
+        _progression_numerators(np.arange(1, 4_200_001, 2), 0, 4_200_000, [1])
 
 
 def test_progression_numerators_chunked_uint8():
-    # every integer in (3000, 6000]: classes hold 1000 (r = 3) and ~429 (r = 7)
+    # every odd integer in (3000, 9000]: classes hold 1000 (r = 3) and ~429 (r = 7)
     # members, more than one uint8 column sum can count
-    nums = _progression_numerators(np.arange(3001, 6001), 3000, 6000, [3, 7])
-    assert nums == numerators_by_loop(list(range(3001, 6001)), [3, 7])
+    nums = _progression_numerators(np.arange(3001, 9001, 2), 3000, 9000, [3, 7])
+    assert nums == numerators_by_loop(list(range(3001, 9001, 2)), [3, 7])
+
+
+@pytest.mark.parametrize(
+    "lo, hi, rs",
+    [
+        (10, 60, [1, 3, 5, 7]),
+        (99, 1201, [11, 13, 101, 997]),  # an odd lo, prime moduli
+        (100, 140, [41, 53, 97]),  # r > hi - lo: one row, mostly padding
+        (0, 9000, [3, 7]),  # 1500 and 643 rows: more than one uint8 sum of 255 rows
+    ],
+)
+def test_class_counts_odd_layout(lo, hi, rs):
+    # d[j] counts the members m = 2j + 1 (mod r), and class -m is at r - 1 - j
+    odd = np.arange(lo + 1 | 1, hi + 1, 2)
+    rng = np.random.default_rng(hi)
+    for size in (0, 1, len(odd) // 3, len(odd)):
+        members = np.sort(rng.choice(odd, size=size, replace=False))
+        got = dict(class_counts(members, lo, hi, rs))
+        assert list(got) == rs
+        for r, d in got.items():
+            by_residue = Counter(m % r for m in members.tolist())
+            assert d.dtype == np.int64
+            assert d.tolist() == [by_residue[(2 * j + 1) % r] for j in range(r)]
+            for m in members.tolist():
+                assert d[r - 1 - (m >> 1) % r] == by_residue[-m % r]
+
+
+def test_class_counts_refuse_even_members_and_moduli():
+    # m and m - 1 would share the slot m >> 1 and be counted in one class
+    with pytest.raises(ValueError, match="odd"):
+        list(class_counts(np.array([11, 12, 13]), 10, 20, [3]))
+    with pytest.raises(ValueError, match="odd"):
+        list(class_counts(np.array([11, 13]), 10, 20, [3, 4]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,24 +259,26 @@ def test_progression_variance_matches_loop_numerators(table_200k, x):
     assert prime_progression_variance(table_200k, x).lhs == expected
 
 
-@pytest.mark.parametrize("x", [75, 100, 300, 1000])
+@pytest.mark.parametrize("x", [75, 100, 300, 1000, 3000, 10_000])
 def test_progression_variance_is_the_variance_of_the_thm3_census(table_200k, x):
     # with the window below the box (x >= 75) the image q*r**2 has C_r(-q) parents,
-    # so the lhs is the squared deviation of every (q, r) count from Z/r, zero counts included
+    # so the lhs is the squared deviation of every (q, r) count from Z/r, zero counts
+    # included, and num_r is r**2 times its terms at r
     r_lo, r_hi = window_bounds(x)
     assert r_hi <= x
     census = census_b3(table_200k, x)
     counts = dict(zip(census.images.tolist(), census.counts.tolist()))
-    ps = primes_in_range(table_200k, x, 2 * x).tolist()
-    lhs = sum(
-        (
-            (Fraction(counts.get(q * r * r, 0)) - Fraction(len(ps), r)) ** 2
-            for r in primes_in_range(table_200k, r_lo, r_hi).tolist()
-            for q in ps
-        ),
-        Fraction(0),
-    )
-    assert prime_progression_variance(table_200k, x).lhs == lhs
+    ps = primes_in_range(table_200k, x, 2 * x)
+    rs = primes_in_range(table_200k, r_lo, r_hi).tolist()
+    z = len(ps)
+    nums = [sum((r * counts.get(q * r * r, 0) - z) ** 2 for q in ps.tolist()) for r in rs]
+    assert _progression_numerators(ps, x, 2 * x, rs) == nums
+    if x <= EXACT_X_CUTOFF:
+        lhs = sum(
+            ((Fraction(counts.get(q * r * r, 0)) - Fraction(z, r)) ** 2 for r in rs for q in ps.tolist()),
+            Fraction(0),
+        )
+        assert prime_progression_variance(table_200k, x).lhs == lhs
 
 
 def test_progression_variance_validation(table_x300):
