@@ -236,7 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("--allow-large", action="store_true", help="lift the x cap on censuses")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("lemma2", parents=[common, output], help="residue-count variance of a sample file")
+    p = sub.add_parser("lemma2", parents=[output], help="residue-count variance of a sample file")
     p.add_argument("--file", required=True, help="input file, one integer per line")
     p.add_argument("--X", type=int, required=True, help="modulus cutoff")
     p.add_argument("--N", type=int, default=None, help="universe bound (default: max value)")

@@ -29,9 +29,7 @@ def lpf_array(table: PrimeTable, n_max: int) -> np.ndarray:
     if n_max > table.limit:
         raise ValueError(f"n_max {n_max} exceeds table limit {table.limit}")
     arr = np.zeros(n_max + 1, dtype=np.int64)
-    for p in table.primes.tolist():
-        if p > n_max:
-            break
+    for p in primes_in_range(table, 1, n_max).tolist():
         arr[p::p] = p
     return arr
 

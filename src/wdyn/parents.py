@@ -280,11 +280,10 @@ def _thm2_packed(ps: np.ndarray, lpf: np.ndarray, rs: np.ndarray) -> Iterator[np
     for i0 in range(0, len(rs), step):
         rb = rs[i0 : i0 + step, None]
         start = np.cumsum(rb)[:, None] - rb  # where r's classes start in the counts
-        cls = ps % rb
-        key = (start + cls).ravel()
-        c = np.bincount(key, minlength=rb.sum() + 1)
-        # class -b; for b = 0 this reads the next r's class 0, but class 0 holds r alone if any
-        opp = (start + rb - cls).ravel()
+        j = (ps >> 1) % rb  # p = 2j + 1 mod r, so class -p sits at r - 1 - j, as in class_counts
+        key = (start + j).ravel()
+        c = np.bincount(key, minlength=rb.sum())
+        opp = (start + rb - 1 - j).ravel()
         flat = np.flatnonzero((c[key] > 1) & (c[opp] > 0))
         order = np.argsort(key[flat])
         flat, key = flat[order], key[flat[order]]

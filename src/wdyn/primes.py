@@ -2,10 +2,10 @@
 
 Everything downstream (orbit iteration, parent searches, variance sums)
 queries primes through a :class:`PrimeTable`: a smallest-prime-factor
-sieve over ``[2, limit]`` plus the sorted prime list derived from it.
-Primality is read from the sieve alone, as ``spf[n] == n``, and the
-binary cache stores the spf array and nothing else.  The table is
-immutable after construction.
+sieve over ``[2, limit]`` and nothing else.  Primality is read as
+``spf[n] == n``, the primes of a range by :func:`primes_in_range`'s
+scan of spf, and the binary cache stores the spf array alone.  The
+table is immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
@@ -42,7 +42,7 @@ CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the u32 spf pa
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
-_SEGMENT = 1 << 18  # spf entries sieved at a time: 1 MB of uint32, an L2's worth
+_SEGMENT = 1 << 18  # spf entries sieved or scanned at a time: 1 MB of uint32, an L2's worth
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,14 @@ class PrimeTable:
         prime factor of n for n in [2, limit]; n >= 2 is prime exactly
         when ``spf[n] == n``.  Entries 0 and 1 are sentinels equal to
         their index, so a primality read must also check n >= 2.
-    primes : np.ndarray
-        int64 array of all primes <= limit, strictly increasing.
     """
 
     limit: int
     spf: np.ndarray
-    primes: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.primes)
+    def __len__(self) -> int:  # pi(limit), counted one segment at a time: no list of all primes is held
+        segments = range(0, self.limit, _SEGMENT)
+        return sum(len(primes_in_range(self, lo, min(lo + _SEGMENT, self.limit))) for lo in segments)
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
@@ -95,20 +93,6 @@ def _spf_sieve(limit: int) -> np.ndarray:
         for p in reversed(small[: bisect_left(small, isqrt(hi - 1) + 1)]):  # p**2 < hi
             block[max(p * p, -(-lo // p) * p) - lo :: p] = p
     return spf
-
-
-def _primes_of(spf: np.ndarray) -> np.ndarray:
-    """The n >= 2 with spf[n] == n, as int64, ``_SEGMENT`` entries at a
-    time, so no array over the whole table is made.  A composite n has
-    spf[n] <= isqrt(n), so a segment [lo, hi) with lo**2 >= hi (any past
-    the first) holds its primes at the slots >= lo: a scalar compare."""
-    parts = []
-    for lo in range(2, len(spf), _SEGMENT):
-        block = spf[lo : lo + _SEGMENT]
-        hi = lo + len(block)
-        top = lo if lo * lo >= hi else np.arange(lo, hi, dtype=np.uint32)  # spf[n] >= n: n is prime
-        parts.append(np.flatnonzero(block >= top) + lo)
-    return np.concatenate(parts).astype(np.int64, copy=False)
 
 
 def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeTable:
@@ -142,8 +126,7 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
                 return table
 
     logger.info("building prime table to %d ...", limit)
-    spf = _spf_sieve(limit)
-    table = PrimeTable(limit=limit, spf=spf, primes=_primes_of(spf))
+    table = PrimeTable(limit=limit, spf=_spf_sieve(limit))
 
     if path is not None:
         try:
@@ -193,14 +176,17 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     spf = np.frombuffer(raw, dtype="<u4", offset=head)  # a view, not a copy: never written to
     if spf[:4].tolist() != [0, 1, 2, 3][: limit + 1]:
         raise CacheError("payload fails sanity check")
-    return PrimeTable(limit=limit, spf=spf, primes=_primes_of(spf))
+    return PrimeTable(limit=limit, spf=spf)
 
 
 def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
-    """All primes p with lo < p <= hi, ascending.
+    """All primes p with lo < p <= hi, as a fresh ascending int64 array.
 
     The half-open convention (lo, hi] is used everywhere in this
-    package (prime boxes (x, 2x], middle-prime windows, ...).
+    package (prime boxes (x, 2x], middle-prime windows, ...).  Scans spf
+    ``_SEGMENT`` entries at a time.  A composite n has spf[n] <= isqrt(n),
+    so a segment [a, b) with a**2 >= b (every box and window asked for)
+    holds its primes at the n with spf[n] >= a: a scalar compare.
     """
     if hi > table.limit:
         raise CoverageError(
@@ -208,8 +194,12 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
             f"rebuild with limit >= {hi}",
             required_limit=hi,
         )
-    left, right = np.searchsorted(table.primes, [lo, hi], side="right")
-    return table.primes[left:right]
+    parts = [np.empty(0, dtype=np.int64)]
+    for a in range(max(lo + 1, 2), hi + 1, _SEGMENT):
+        b = min(a + _SEGMENT, hi + 1)
+        top = a if a * a >= b else np.arange(a, b, dtype=np.uint32)  # spf[n] >= n: n is prime
+        parts.append(np.flatnonzero(table.spf[a:b] >= top) + a)
+    return np.concatenate(parts)
 
 
 def largest_prime_factor(table: PrimeTable, n: int) -> int:

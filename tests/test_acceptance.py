@@ -56,7 +56,7 @@ def test_c1_closure_under_w(table_10k):
 def _count_a3_members(table, bound: int) -> int:
     """A3 members up to bound by direct triple-product enumeration,
     independent of the spf-chain classification it cross-checks."""
-    ps = table.primes.tolist()
+    ps = primes_in_range(table, 1, table.limit).tolist()
     count = 0
     for i, p in enumerate(ps):
         if p * p * p > bound:

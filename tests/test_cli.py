@@ -290,6 +290,18 @@ def test_lemma2_bad_value_is_an_error_line(capsys, tmp_path, bad):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_lemma2_takes_no_cache_dir(capsys, tmp_path):
+    # lemma2 builds no prime table, so a cache directory is a usage error
+    vals = tmp_path / "vals.txt"
+    vals.write_text("1\n2\n3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma2", "--cache-dir", str(tmp_path), "--file", str(vals), "--X", "3"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --cache-dir" in err
+    assert not list(tmp_path.glob("*.wdynsieve"))
+
+
 def test_lemma2_missing_file(capsys):
     code, _, err = run(capsys, "lemma2", "--file", "/does/not/exist.txt", "--X", "3")
     assert code == 3

@@ -49,11 +49,11 @@ def naive_factor(n: int) -> list[int]:
 
 
 def test_first_primes():
-    assert build_prime_table(10).primes.tolist() == [2, 3, 5, 7]
+    assert primes_in_range(build_prime_table(10), 1, 10).tolist() == [2, 3, 5, 7]
 
 
 def test_boundary_limit_two():
-    assert build_prime_table(2).primes.tolist() == [2]
+    assert primes_in_range(build_prime_table(2), 1, 2).tolist() == [2]
 
 
 def test_limit_below_two_rejected():
@@ -64,7 +64,7 @@ def test_limit_below_two_rejected():
 def test_prime_count_to_ten_thousand(table_10k):
     oracle = naive_sieve(10_000)
     assert len(oracle) == 1229
-    assert table_10k.primes.tolist() == oracle
+    assert primes_in_range(table_10k, 1, table_10k.limit).tolist() == oracle
 
 
 def assert_spf_invariants(table):
@@ -72,11 +72,20 @@ def assert_spf_invariants(table):
     spf = table.spf[2:].astype(np.int64)
     assert np.all(n % spf == 0)
     assert np.all(table.spf[spf] == spf)  # every spf value is a prime
-    assert np.array_equal(n[spf == n], table.primes)
+    assert np.array_equal(n[spf == n], primes_in_range(table, 1, table.limit))
     # spf(n) is the smallest prime factor exactly when n / spf(n) has none smaller
     q = n // spf
     assert np.all((q < 2) | (table.spf[q] >= spf))
     assert table.spf[0] == 0 and table.spf[1] == 1
+
+
+def assert_range_matches(table, lo, hi, naive):
+    got = primes_in_range(table, lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [p for p in naive if lo < p <= hi], (lo, hi)
+    assert np.all(np.diff(got) > 0)
+    if hi <= lo:
+        assert len(got) == 0
 
 
 def test_spf_invariants(table_10k):
@@ -93,17 +102,27 @@ def test_segment_boundaries(monkeypatch, segment):
     monkeypatch.setattr(primes, "_SEGMENT", segment)
     s = segment
     for limit in sorted({lim for lim in (2, 3, 4, s - 1, s, s + 1, 3 * s + 1, 10_000) if lim >= 2}):
-        table = build_prime_table(limit)
-        assert table.primes.tolist() == naive_sieve(limit), limit
+        table, naive = build_prime_table(limit), naive_sieve(limit)
+        assert primes_in_range(table, 1, table.limit).tolist() == naive, limit
+        assert len(table) == len(naive), limit
         assert_spf_invariants(table)
+    # ranges on the last table, limit 10**4, read across many short segments
+    rng = np.random.default_rng(segment)
+    ranges = [(0, 2), (1, 3), (3, 4), (7, 64), (100, 121), (9_000, 10_000)]
+    for _ in range(60):
+        lo = int(rng.integers(-2, 10_000))
+        ranges.append((lo, int(rng.integers(lo, 10_001))))
+    for lo, hi in ranges:
+        assert_range_matches(table, lo, hi, naive)
 
 
 def test_primes_list_matches_is_prime(table_10k):
     # primality is spf[n] == n for n >= 2; 0 and 1 are sentinels equal to their index
     n = np.arange(table_10k.limit + 1)
-    assert np.array_equal(np.flatnonzero((table_10k.spf == n) & (n >= 2)), table_10k.primes)
-    assert table_10k.primes.dtype == np.int64
-    assert np.all(np.diff(table_10k.primes) > 0)
+    ps = primes_in_range(table_10k, 1, table_10k.limit)
+    assert np.array_equal(np.flatnonzero((table_10k.spf == n) & (n >= 2)), ps)
+    assert ps.dtype == np.int64
+    assert np.all(np.diff(ps) > 0)
 
 
 def test_primes_in_range_examples(table_10k):
@@ -119,6 +138,33 @@ def test_primes_in_range_coverage_error(table_10k):
     with pytest.raises(CoverageError) as err:
         primes_in_range(table_10k, 0, 20_000)
     assert err.value.required_limit == 20_000
+
+
+def test_primes_in_range_every_small_range():
+    table, naive = build_prime_table(300), naive_sieve(300)
+    for lo in range(-2, 301):
+        for hi in range(lo, 301):
+            assert_range_matches(table, lo, hi, naive)
+    assert_range_matches(table, 200, 100, naive)
+    assert len(table) == len(naive) == 62
+
+
+def test_primes_in_range_straddles_segments(table_1m):
+    # ranges across multiples of 2**18, and across the a**2 >= b switch at the start
+    naive = naive_sieve(table_1m.limit)
+    rng = np.random.default_rng(20)
+    seg = primes._SEGMENT
+    ranges = [(1, 10**6), (0, seg), (seg - 1, seg + 1), (seg, 2 * seg), (3 * seg - 5, 10**6), (511, seg + 1)]
+    for edge in range(0, 10**6, seg):
+        for _ in range(6):
+            lo = edge + int(rng.integers(-3000, 3000))
+            ranges.append((lo, min(10**6, lo + int(rng.integers(0, 5 * seg)))))
+    for _ in range(20):  # short ranges near the start, where a**2 < b
+        lo = int(rng.integers(-2, 2000))
+        ranges.append((lo, lo + int(rng.integers(0, 10**5))))
+    for lo, hi in ranges:
+        assert_range_matches(table_1m, lo, hi, naive)
+    assert len(table_1m) == len(naive) == 78_498
 
 
 def test_largest_prime_factor_examples(table_10k):
@@ -235,7 +281,7 @@ def test_cache_roundtrip(tmp_path):
     assert path.exists()
     again = build_prime_table(5000, cache_dir=tmp_path)
     assert np.array_equal(table.spf, again.spf)
-    assert np.array_equal(table.primes, again.primes)
+    assert np.array_equal(primes_in_range(table, 1, 5000), primes_in_range(again, 1, 5000))
     assert not again.spf.flags.owndata  # a view of the file's bytes, not a copy
 
 
@@ -258,7 +304,8 @@ def test_cache_corruption_falls_back(tmp_path, caplog):
     assert "rebuilding" in caplog.text
     assert len(table) == 669  # pi(5000)
     # the rebuild rewrote a valid cache
-    assert build_prime_table(5000, cache_dir=tmp_path).primes[-1] == table.primes[-1]
+    again = build_prime_table(5000, cache_dir=tmp_path)
+    assert primes_in_range(again, 1, 5000)[-1] == primes_in_range(table, 1, 5000)[-1] == 4999
 
 
 def test_cache_corrupt_spf_slot_falls_back(tmp_path, caplog):
@@ -315,14 +362,14 @@ def test_cache_bytes_pinned(tmp_path, limit):
 def test_cache_format_2_is_rebuilt(tmp_path, caplog):
     # a format-2 file as earlier versions wrote it: packed prime bits, then the spf array
     table = build_prime_table(300)
-    bits = np.packbits(np.isin(np.arange(301), table.primes), bitorder="little")
+    bits = np.packbits(np.isin(np.arange(301), primes_in_range(table, 1, 300)), bitorder="little")
     payload = bits.tobytes() + table.spf.astype("<u4").tobytes()
     path = tmp_path / "sieve-300.wdynsieve"
     path.write_bytes(struct.pack("<8sIQI", b"WDYNSIEV", 2, 300, zlib.crc32(payload)) + payload)
     with caplog.at_level("WARNING"):
         again = build_prime_table(300, cache_dir=tmp_path)
     assert "format version 2 != 3" in caplog.text and "rebuilding" in caplog.text
-    assert np.array_equal(again.primes, table.primes)
+    assert np.array_equal(primes_in_range(again, 1, 300), primes_in_range(table, 1, 300))
     assert path.stat().st_size == 24 + 4 * 301  # rewritten as format 3
 
 
@@ -331,4 +378,4 @@ def test_save_load_helpers_roundtrip(tmp_path):
     path = tmp_path / "t.wdynsieve"
     _save_table(table, path)
     loaded = _load_table(path, 997)
-    assert loaded.primes.tolist() == table.primes.tolist()
+    assert primes_in_range(loaded, 1, 997).tolist() == primes_in_range(table, 1, 997).tolist()
