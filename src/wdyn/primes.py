@@ -10,9 +10,12 @@ table is immutable after construction.
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
 pieces up to the limit walk the spf chain, pieces past it go to
-Miller–Rabin and Pollard's rho.  :func:`largest_prime_factors` derives
-the P array over ``[0, n]``, ``n <= limit``, for the censuses and the
-parent searches.
+Miller–Rabin on only as many bases as their size needs (the ψ_k table)
+and to Brent's rho.  :func:`largest_prime_factor` drops the powers of 2
+first and walks the spf chain of the odd part without a list when it is
+within the table.  :func:`largest_prime_factors` derives the P array
+over ``[0, n]``, ``n <= limit``, for the censuses and the parent
+searches.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,17 @@ CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the u32 spf pa
 # strong pseudoprime to all of them (Sorenson & Webster 2015)
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi_k, k) at each k where psi_k, the least strong pseudoprime to the
+# first k bases, grows (psi_7 = psi_8, psi_9 = psi_10 = psi_11): the first
+# k bases are exact below psi_k.  Jaeschke 1993 (k <= 8), Jiang & Deng
+# 2014 (k <= 11), Sorenson & Webster 2015 (k = 12, 13; psi_13 = MR_BOUND)
+_MR_PSI = (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12), (MR_BOUND, 13),
+)
+_MR_BASES_PROD = prod(MR_BASES)
+_RHO_BATCH = 128  # Brent's rho steps whose |x - y| share one gcd
 
 _SEGMENT = 1 << 18  # spf entries sieved or scanned at a time: 1 MB of uint32, an L2's worth
 
@@ -63,9 +77,8 @@ class PrimeTable:
     limit: int
     spf: np.ndarray
 
-    def __len__(self) -> int:  # pi(limit), counted one segment at a time: no list of all primes is held
-        segments = range(0, self.limit, _SEGMENT)
-        return sum(len(primes_in_range(self, lo, min(lo + _SEGMENT, self.limit))) for lo in segments)
+    def __len__(self) -> int:  # pi(limit), counted on each segment's mask: no index array is built
+        return sum(np.count_nonzero(mask) for _, mask in _prime_masks(self, 1, self.limit))
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
@@ -179,14 +192,25 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, spf=spf)
 
 
+def _prime_masks(table: PrimeTable, lo: int, hi: int):
+    """Yield (a, mask) over (lo, hi], ``_SEGMENT`` entries at a time:
+    ``mask[i]`` is true exactly when a + i is prime.  A composite n has
+    spf[n] <= isqrt(n), so a segment [a, b) with a**2 >= b (every box and
+    window asked for) holds its primes at the n with spf[n] >= a: a
+    scalar compare.
+    """
+    for a in range(max(lo + 1, 2), hi + 1, _SEGMENT):
+        b = min(a + _SEGMENT, hi + 1)
+        top = a if a * a >= b else np.arange(a, b, dtype=np.uint32)  # spf[n] >= n: n is prime
+        yield a, table.spf[a:b] >= top
+
+
 def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """All primes p with lo < p <= hi, as a fresh ascending int64 array.
 
     The half-open convention (lo, hi] is used everywhere in this
     package (prime boxes (x, 2x], middle-prime windows, ...).  Scans spf
-    ``_SEGMENT`` entries at a time.  A composite n has spf[n] <= isqrt(n),
-    so a segment [a, b) with a**2 >= b (every box and window asked for)
-    holds its primes at the n with spf[n] >= a: a scalar compare.
+    ``_SEGMENT`` entries at a time (see :func:`_prime_masks`).
     """
     if hi > table.limit:
         raise CoverageError(
@@ -194,18 +218,39 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
             f"rebuild with limit >= {hi}",
             required_limit=hi,
         )
-    parts = [np.empty(0, dtype=np.int64)]
-    for a in range(max(lo + 1, 2), hi + 1, _SEGMENT):
-        b = min(a + _SEGMENT, hi + 1)
-        top = a if a * a >= b else np.arange(a, b, dtype=np.uint32)  # spf[n] >= n: n is prime
-        parts.append(np.flatnonzero(table.spf[a:b] >= top) + a)
-    return np.concatenate(parts)
+    parts = [np.flatnonzero(mask) + a for a, mask in _prime_masks(table, lo, hi)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+
+
+def _check_reach(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"factorization requires n >= 2, got {n}")
+    if n >= MR_BOUND:
+        raise CoverageError(
+            f"factoring is exact only below MR_BOUND = {MR_BOUND} (Miller–Rabin on bases 2..41)"
+        )
 
 
 def largest_prime_factor(table: PrimeTable, n: int) -> int:
     """Largest prime factor P(n) of an integer n > 1, with the reach of
-    :func:`factor_list` (n below ``MR_BOUND``)."""
-    return factor_list(table, n)[-1]
+    :func:`factor_list` (n below ``MR_BOUND``).
+
+    The powers of 2 go by bit operations.  An odd part within the table
+    walks its spf chain to the last entry, a prime; only an odd part past
+    the table goes to :func:`factor_list`.
+    """
+    _check_reach(n)
+    m = n >> ((n & -n).bit_length() - 1)
+    if m == 1:
+        return 2
+    if m > table.limit:
+        return factor_list(table, m)[-1]
+    spf = table.spf
+    p = spf.item(m)
+    while p != m:
+        m //= p
+        p = spf.item(m)
+    return m
 
 
 def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
@@ -231,12 +276,18 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller–Rabin on MR_BASES; exact for n < MR_BOUND."""
-    if any(n % p == 0 for p in MR_BASES):
+    """Primality of 2 <= n < MR_BOUND: Miller–Rabin on the first k of
+    MR_BASES, k the least with psi_k > n (``_MR_PSI``), after one gcd
+    with their product."""
+    if gcd(n, _MR_BASES_PROD) != 1:
         return n in MR_BASES
+    for psi, k in _MR_PSI:
+        if n < psi:
+            break
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
-    for a in MR_BASES:
-        y = pow(a, (n - 1) >> s, n)
+    d = (n - 1) >> s
+    for a in MR_BASES[:k]:
+        y = pow(a, d, n)
         if y == 1 or y == n - 1:
             continue
         for _ in range(s - 1):
@@ -249,41 +300,52 @@ def _miller_rabin(n: int) -> bool:
 
 
 def _rho(n: int) -> int:
-    """A proper divisor of the composite n: Pollard's rho with Floyd
-    cycle-finding on y**2 + c, moving to the next c when the gcd is n."""
+    """A proper divisor of the composite n: Pollard's rho with Brent's
+    cycle-finding on y**2 + c (Brent 1980).  The differences x - y of
+    ``_RHO_BATCH`` steps are multiplied together mod n and share one gcd;
+    a batch whose gcd is n is stepped again one gcd at a time, and c moves
+    on when even that gives n."""
     if n % 2 == 0:
         return 2
     for c in count(1):
-        slow = fast = 2
-        d = 1
-        while d == 1:
-            slow = (slow * slow + c) % n
-            fast = (fast * fast + c) % n
-            fast = (fast * fast + c) % n
-            d = gcd(slow - fast, n)
-        if d != n:
-            return d
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y  # the iterate at the last power of 2
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending; exact for
     2 <= n < MR_BOUND.  A piece of n up to ``table.limit`` walks the spf
     chain; a piece past it is certified prime by Miller–Rabin, or split
-    by Pollard's rho and both parts factored in turn.
+    by Brent's rho and both parts factored in turn.
     """
-    if n < 2:
-        raise ValueError(f"factorization requires n >= 2, got {n}")
-    if n >= MR_BOUND:
-        raise CoverageError(
-            f"factoring is exact only below MR_BOUND = {MR_BOUND} (Miller–Rabin on bases 2..41)"
-        )
+    _check_reach(n)
+    spf, limit = table.spf, table.limit
     out: list[int] = []
     pieces = [n]
     while pieces:
         m = pieces.pop()
-        if m <= table.limit:
+        if m <= limit:
             while m > 1:
-                p = int(table.spf[m])
+                p = spf.item(m)
                 out.append(p)
                 m //= p
         elif _miller_rabin(m):

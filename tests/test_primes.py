@@ -2,7 +2,8 @@
 
 import struct
 import zlib
-from math import prod
+from itertools import count
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wdyn import (
     primes_in_range,
 )
 from wdyn import oracle, primes
-from wdyn.primes import MR_BOUND, _load_table, _save_table, largest_prime_factors
+from wdyn.primes import MR_BASES, MR_BOUND, _load_table, _save_table, largest_prime_factors
 
 
 # --- oracles, written before the paths they check ---
@@ -228,6 +229,84 @@ PAST_TABLE_FACTORS = [
 def test_factor_list_exact_past_a_limit_10_table(factors):
     assert all(naive_factor(p) == [p] for p in factors)
     assert factor_list(build_prime_table(10), prod(factors)) == factors
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """The strong Fermat test of an odd n > max(bases) to each base, written
+    apart from ``primes._miller_rabin``.  A prime passes every base, so a
+    failure proves n composite; passing all of MR_BASES proves n prime
+    below MR_BOUND (Sorenson & Webster 2015)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_matches_sieve_to_two_million():
+    # covers the switches at psi_1 = 2047 and psi_2 = 1373653 entry by entry
+    table = build_prime_table(2 * 10**6)
+    n = np.arange(2, table.limit + 1)
+    assert [primes._miller_rabin(k) for k in range(2, table.limit + 1)] == (table.spf[2:] == n).tolist()
+
+
+NAIVE_REACH = 10**13  # naive_factor of a prime below this takes under about 0.3 s
+
+
+def certified_prime(n: int) -> bool:
+    if n < NAIVE_REACH:
+        return naive_factor(n) == [n]
+    return gcd(n, prod(MR_BASES)) == 1 and strong_probable_prime(n, MR_BASES)
+
+
+@pytest.mark.parametrize("psi, k", primes._MR_PSI[:-1], ids=str)
+def test_miller_rabin_at_each_psi_switch(psi, k):
+    # psi is composite (it fails some base, being below MR_BOUND) yet passes
+    # the first k bases, so psi is where k must grow
+    assert strong_probable_prime(psi, MR_BASES[:k]) and not strong_probable_prime(psi, MR_BASES)
+    assert primes._miller_rabin(psi) is False
+    # the nearest primes on both sides are certified, and all between them is composite
+    below = next(n for n in range(psi - 1, 1, -1) if primes._miller_rabin(n))
+    above = next(n for n in count(psi + 1) if primes._miller_rabin(n))
+    assert certified_prime(below) and certified_prime(above)
+    for n in range(below + 1, above):
+        assert n % 2 == 0 or not strong_probable_prime(n, MR_BASES), n
+
+
+def test_miller_rabin_psi_table():
+    psis, ks = zip(*primes._MR_PSI)
+    assert list(psis) == sorted(set(psis)) and psis[-1] == MR_BOUND
+    assert list(ks) == sorted(set(ks)) and ks[-1] == len(MR_BASES)
+    assert strong_probable_prime(MR_BOUND, MR_BASES)  # why factoring stops there
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 78_493), st.integers(0, 78_493))
+def test_rho_splits_products_of_primes_past_the_table(table_1m, i, j):
+    ps = primes_in_range(table_1m, 10, 10**6)  # primes past a limit-10 table
+    p, q = int(ps[i]), int(ps[j])
+    for n in {p * q, p * p, p**3}:
+        d = primes._rho(n)
+        assert 1 < d < n and n % d == 0, (n, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10_000), st.integers(0, 40), st.integers(10_001, 10**10))
+def test_largest_prime_factor_on_each_path(table_10k, small, shift, big):
+    limit = table_10k.limit
+    odd = small >> ((small & -small).bit_length() - 1)
+    even_past = odd << max(shift, limit.bit_length())  # its odd part is within the table
+    for n in (small, even_past, big | 1):
+        assert largest_prime_factor(table_10k, n) == max(naive_factor(n)), n
 
 
 def test_factor_list_refuses_mr_bound():
