@@ -137,11 +137,16 @@ def trajectory(
     if t is None or not t.in_a3:
         raise ValueError(f"{n} is not in A3 (needs exactly 3 prime factors, not a cube)")
 
+    # w maps A3 into A3, so only the start needs apply_w's check; each step
+    # works on the sorted primes, and 20 is the triple (2, 2, 5)
     steps = [t]
-    while t.n != 20 and len(steps) <= cap:
-        t = apply_w(table, t)
-        steps.append(t)
-    index = len(steps) - 1 if t.n == 20 else None
+    a, b, c = t.primes
+    while (a, b, c) != (2, 2, 5) and len(steps) <= cap:
+        a, b, c = sorted(
+            (largest_prime_factor(table, a + b), largest_prime_factor(table, a + c), largest_prime_factor(table, b + c))
+        )
+        steps.append(Triple(a, b, c))
+    index = len(steps) - 1 if (a, b, c) == (2, 2, 5) else None
     return Trajectory(steps=tuple(steps), index=index, cap=cap)
 
 

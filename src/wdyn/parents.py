@@ -5,7 +5,7 @@ A parent of a target n is any m in A3 with w(m) = n.  Searches draw
 the parent primes from a box (x, 2x] and use the congruence
 P(s) = r implies r | s: they step through the pair sums s = k*r, keep
 those with P(s) = r, that is P(k) <= r, so they read the P array
-(derived from the spf sieve) only over [0, 4x / min r], and read off
+(derived from the spf sieve of the odd n) only over [0, 4x / min r], and read off
 their prime pairs as arrays; C3 searches join the pairs into triples by
 the same congruence.  The table is read up to 2x (B3: max(2x, q)).
 
@@ -66,11 +66,12 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
             f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {need}, have {table.limit}",
             required_limit=need,
         )
-    if min(q, r) < 2 or table.spf[q] != q or table.spf[r] != r:  # spf[0], spf[1] are 0, 1
+    if not all(m == 2 or (m > 2 and m % 2 and table.is_prime_odd(m)) for m in (q, r)):
         raise ValueError(f"q and r must be prime, got q={q}, r={r}")
     k = np.arange((x + q) // r + 1, hi // r + 1)
     p = r * k[largest_prime_factors(table, hi // r)[k] <= r] - q
-    return p[(table.spf[p] == p) & (p != q)].tolist()
+    p = p[p % 2 == 1]  # a prime p > x >= 2 is odd
+    return p[table.is_prime_odd(p) & (p != q)].tolist()
 
 
 def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +125,17 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
         owner, idx = _ragged(lo[base][blk], lens[base][blk])
         a = ps[idx]
         b = sums[base][blk][owner] - a
-        keep = table.spf[b] == b
+        keep = table.is_prime_odd(b)  # b = s - a is odd
         a, b = a[keep], b[keep]
         for u, v in ((a, b), (b, a)) if m2 != m3 else ((a, b),):
             key = (u - v) % m3
             start = np.searchsorted(res, key)
             owner, idx = _ragged(start, np.searchsorted(res, key, side="right") - start)
             c = s2[idx] - u[owner]
-            box = (c > x) & (c <= 2 * x)  # first: spf and lpf are read only for c in the box
+            box = (c > x) & (c <= 2 * x)  # first: the table and lpf are read only for c in the box
             owner, c = owner[box], c[box]
             # v + c = s2 - (u - v) is a multiple of m3 by the residue match
-            hit = (table.spf[c] == c) & (lpf[(v[owner] + c) // m3] <= m3) & (c != u[owner]) & (c != v[owner])
+            hit = table.is_prime_odd(c) & (lpf[(v[owner] + c) // m3] <= m3) & (c != u[owner]) & (c != v[owner])
             found.append(np.stack([u[owner[hit]], v[owner[hit]], c[hit]], axis=1))
     triples = np.sort(np.concatenate(found), axis=1)
     triples = triples[np.lexsort(triples.T[::-1])]  # rows in order, first column first

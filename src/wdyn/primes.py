@@ -2,30 +2,34 @@
 
 Everything downstream (orbit iteration, parent searches, variance sums)
 queries primes through a :class:`PrimeTable`: a smallest-prime-factor
-sieve over ``[2, limit]`` and nothing else.  Primality is read as
-``spf[n] == n``, the primes of a range by :func:`primes_in_range`'s
-scan of spf, and the binary cache stores the spf array alone.  The
-table is immutable after construction.
+sieve over the odd n in [1, limit], stored as uint16, and nothing else.
+Even n have smallest factor 2 and take no slot.  Odd n sits in slot
+n >> 1, which holds 0 when n is prime and spf(n) when it is composite
+(at most sqrt(limit) < 2**16); slot 0, n = 1, holds 1.  Primality is read
+as a zero slot, the primes of a range by :func:`primes_in_range`'s scan
+of the slots, and the binary cache stores the slots alone.  The table is
+immutable after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
-pieces up to the limit walk the spf chain, pieces past it go to
-Miller–Rabin on only as many bases as their size needs (the ψ_k table)
-and to Brent's rho.  :func:`largest_prime_factor` drops the powers of 2
-first and walks the spf chain of the odd part without a list when it is
-within the table.  :func:`largest_prime_factors` derives the P array
-over ``[0, n]``, ``n <= limit``, for the censuses and the parent
-searches.
+both drop the powers of 2 by bit operations; odd pieces up to the limit
+walk the spf chain, pieces past it go to Miller–Rabin on only as many
+bases as their size needs (the ψ_k table), then to trial division by
+those bases and to Brent's rho.  :func:`largest_prime_factors` derives
+the P array over ``[0, n]``, ``n <= limit``, for the censuses and the
+parent searches.
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
 import struct
 import uuid
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from math import gcd, isqrt, prod
 from pathlib import Path
@@ -37,8 +41,8 @@ from .errors import CacheError, CoverageError
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"WDYNSIEV"
-CACHE_VERSION = 3
-CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the u32 spf payload
+CACHE_VERSION = 4
+CACHE_HEADER = "<8sIQI"  # magic, format version, limit, crc32 of the u16 odd-slot payload
 
 # Miller–Rabin on these bases is exact below MR_BOUND, itself the least
 # strong pseudoprime to all of them (Sorenson & Webster 2015)
@@ -56,7 +60,10 @@ _MR_PSI = (
 _MR_BASES_PROD = prod(MR_BASES)
 _RHO_BATCH = 128  # Brent's rho steps whose |x - y| share one gcd
 
-_SEGMENT = 1 << 18  # spf entries sieved or scanned at a time: 1 MB of uint32, an L2's worth
+_SEGMENT = 1 << 18  # odd slots sieved or scanned at a time: 512 KB of uint16, within an L2
+# P arrays shorter than this are copies of one array computed once: the parent
+# searches ask for many short ones, where a blocked pass costs tens of numpy calls
+_P_HEAD = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -67,30 +74,36 @@ class PrimeTable:
     ----------
     limit : int
         Inclusive upper bound of sieve coverage.
-    spf : np.ndarray
-        uint32 array of length ``limit + 1``; ``spf[n]`` is the smallest
-        prime factor of n for n in [2, limit]; n >= 2 is prime exactly
-        when ``spf[n] == n``.  Entries 0 and 1 are sentinels equal to
-        their index, so a primality read must also check n >= 2.
+    odd_spf : np.ndarray
+        uint16 array of length ``(limit + 1) // 2``, one slot per odd n
+        in [1, limit]: slot ``n >> 1`` holds 0 when n is prime and the
+        smallest prime factor of n when n is composite.  Slot 0 (n = 1)
+        holds 1.  Even n is not stored: its smallest prime factor is 2.
     """
 
     limit: int
-    spf: np.ndarray
+    odd_spf: np.ndarray
 
     def __len__(self) -> int:  # pi(limit), counted on each segment's mask: no index array is built
-        return sum(np.count_nonzero(mask) for _, mask in _prime_masks(self, 1, self.limit))
+        return 1 + sum(np.count_nonzero(mask) for _, mask in _prime_masks(self, 1, self.limit))
+
+    def is_prime_odd(self, n):
+        """Primality of an odd n in [1, limit], or of each entry of an
+        array of them.  n must be odd: an even n would read the slot of n + 1."""
+        return self.odd_spf[n >> 1] == 0
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor array over [0, limit].
+    """The odd-slot smallest-prime-factor array of :class:`PrimeTable`.
 
-    ``spf`` starts as ``arange(limit + 1)`` (so 0 and 1 are their own
-    sentinels) and is sieved in segments of ``_SEGMENT`` entries, small
-    enough to stay in cache.  In each segment [lo, hi) the primes p with
-    p**2 < hi write p over their multiples from max(p**2, lo) on, in
-    descending order and without a mask: the smallest prime dividing a
-    slot writes last, so the slot ends up holding it.  A slot no prime
-    writes keeps its own value, and is prime exactly then.
+    The slots start at 0, except slot 0 (n = 1) at 1, and are sieved in
+    segments of ``_SEGMENT`` slots, small enough to stay in cache.  The
+    odd multiples of an odd prime p from p**2 on sit p slots apart, from
+    slot p**2 >> 1.  In each segment of slots [lo, hi), holding the odd
+    n < 2*hi, the odd primes p with p**2 < 2*hi write p over their slots
+    from lo on, in descending order and without a mask: the smallest prime
+    dividing a slot's n writes last, so the slot ends up holding it.  A
+    slot no prime writes keeps its 0, and its n is prime exactly then.
     """
     root = isqrt(limit)
     flags = np.ones(root + 1, dtype=bool)  # root < 2**16 as limit < 2**32
@@ -98,13 +111,18 @@ def _spf_sieve(limit: int) -> np.ndarray:
     for p in range(2, isqrt(root) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    small = np.nonzero(flags)[0].tolist()
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
+    small = np.nonzero(flags)[0][1:].tolist()  # the odd primes up to root
+    # zero pages of a mapping of its own: a table under malloc's mmap threshold
+    # (128 KiB) would sit in the heap among the temporaries of later work, and
+    # at limit 120001 that made each census and its report 10-20% slower (2-core Xeon)
+    spf = np.frombuffer(mmap.mmap(-1, 2 * ((limit + 1) // 2)), dtype=np.uint16)
+    spf[0] = 1
+    for lo in range(0, len(spf), _SEGMENT):
+        hi = min(lo + _SEGMENT, len(spf))
         block = spf[lo:hi]
-        for p in reversed(small[: bisect_left(small, isqrt(hi - 1) + 1)]):  # p**2 < hi
-            block[max(p * p, -(-lo // p) * p) - lo :: p] = p
+        for p in reversed(small[: bisect_left(small, isqrt(2 * hi - 1) + 1)]):  # p**2 < 2*hi
+            first = p * p >> 1
+            block[max(first, lo + (first - lo) % p) - lo :: p] = p
     return spf
 
 
@@ -124,7 +142,7 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
     if limit < 2:
         raise ValueError(f"table limit must be >= 2, got {limit}")
     if limit >= 2**32:
-        raise ValueError(f"table limit must be < 2**32 (spf stored as u32), got {limit}")
+        raise ValueError(f"table limit must be < 2**32 (an odd composite's spf stored as u16), got {limit}")
 
     path = None
     if cache_dir is not None:
@@ -139,7 +157,7 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
                 return table
 
     logger.info("building prime table to %d ...", limit)
-    table = PrimeTable(limit=limit, spf=_spf_sieve(limit))
+    table = PrimeTable(limit=limit, odd_spf=_spf_sieve(limit))
 
     if path is not None:
         try:
@@ -151,7 +169,7 @@ def build_prime_table(limit: int, cache_dir: str | Path | None = None) -> PrimeT
 
 def _save_table(table: PrimeTable, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    spf = np.ascontiguousarray(table.spf, dtype="<u4")  # no copy on a little-endian host
+    spf = np.ascontiguousarray(table.odd_spf, dtype="<u2")  # no copy on a little-endian host
     crc = zlib.crc32(spf)
     header = struct.pack(CACHE_HEADER, CACHE_MAGIC, CACHE_VERSION, table.limit, crc)
     # a name of its own per writer, so concurrent builds never share a temp file
@@ -181,36 +199,33 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
         raise CacheError(f"format version {version} != {CACHE_VERSION}")
     if stored_limit != limit:
         raise CacheError(f"cached limit {stored_limit} != requested {limit}")
-    expected = head + 4 * (limit + 1)
+    expected = head + 2 * ((limit + 1) // 2)
     if len(raw) != expected:
         raise CacheError(f"payload size {len(raw)} != expected {expected}")
     if zlib.crc32(memoryview(raw)[head:]) != crc:
         raise CacheError("payload checksum mismatch")
-    spf = np.frombuffer(raw, dtype="<u4", offset=head)  # a view, not a copy: never written to
-    if spf[:4].tolist() != [0, 1, 2, 3][: limit + 1]:
+    spf = np.frombuffer(raw, dtype="<u2", offset=head)  # a view, not a copy: never written to
+    if spf[:5].tolist() != [1, 0, 0, 0, 3][: len(spf)]:  # n = 1, 3, 5, 7, 9
         raise CacheError("payload fails sanity check")
-    return PrimeTable(limit=limit, spf=spf)
+    return PrimeTable(limit=limit, odd_spf=spf)
 
 
 def _prime_masks(table: PrimeTable, lo: int, hi: int):
-    """Yield (a, mask) over (lo, hi], ``_SEGMENT`` entries at a time:
-    ``mask[i]`` is true exactly when a + i is prime.  A composite n has
-    spf[n] <= isqrt(n), so a segment [a, b) with a**2 >= b (every box and
-    window asked for) holds its primes at the n with spf[n] >= a: a
-    scalar compare.
+    """Yield (a, mask) over the odd n in (lo, hi], ``_SEGMENT`` slots at a
+    time: ``mask[i]`` is true exactly when the n of slot a + i, 2(a + i) + 1,
+    is prime.  The prime 2 is left to the caller.
     """
-    for a in range(max(lo + 1, 2), hi + 1, _SEGMENT):
-        b = min(a + _SEGMENT, hi + 1)
-        top = a if a * a >= b else np.arange(a, b, dtype=np.uint32)  # spf[n] >= n: n is prime
-        yield a, table.spf[a:b] >= top
+    b = (hi + 1) >> 1  # past the slot of the last odd n <= hi
+    for a in range(max((lo + 1) >> 1, 0), b, _SEGMENT):
+        yield a, table.odd_spf[a : min(a + _SEGMENT, b)] == 0
 
 
 def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """All primes p with lo < p <= hi, as a fresh ascending int64 array.
 
     The half-open convention (lo, hi] is used everywhere in this
-    package (prime boxes (x, 2x], middle-prime windows, ...).  Scans spf
-    ``_SEGMENT`` entries at a time (see :func:`_prime_masks`).
+    package (prime boxes (x, 2x], middle-prime windows, ...).  Scans the
+    odd slots ``_SEGMENT`` at a time (see :func:`_prime_masks`).
     """
     if hi > table.limit:
         raise CoverageError(
@@ -218,8 +233,13 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
             f"rebuild with limit >= {hi}",
             required_limit=hi,
         )
-    parts = [np.flatnonzero(mask) + a for a, mask in _prime_masks(table, lo, hi)]
-    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+    parts = [np.array([2] if lo < 2 <= hi else [], dtype=np.int64)]
+    for a, mask in _prime_masks(table, lo, hi):
+        n = np.flatnonzero(mask)  # in place from here: slot i of the segment is n = 2(a + i) + 1
+        n *= 2
+        n += 2 * a + 1
+        parts.append(n)
+    return np.concatenate(parts)
 
 
 def _check_reach(n: int) -> None:
@@ -236,8 +256,8 @@ def largest_prime_factor(table: PrimeTable, n: int) -> int:
     :func:`factor_list` (n below ``MR_BOUND``).
 
     The powers of 2 go by bit operations.  An odd part within the table
-    walks its spf chain to the last entry, a prime; only an odd part past
-    the table goes to :func:`factor_list`.
+    walks its spf chain to the last entry, a prime (a 0 slot); only an odd
+    part past the table goes to :func:`factor_list`.
     """
     _check_reach(n)
     m = n >> ((n & -n).bit_length() - 1)
@@ -245,32 +265,63 @@ def largest_prime_factor(table: PrimeTable, n: int) -> int:
         return 2
     if m > table.limit:
         return factor_list(table, m)[-1]
-    spf = table.spf
-    p = spf.item(m)
-    while p != m:
+    spf = table.odd_spf
+    p = spf.item(m >> 1)
+    while p:
         m //= p
-        p = spf.item(m)
+        p = spf.item(m >> 1)
     return m
+
+
+@cache
+def _p_head() -> np.ndarray:
+    """P(k) for k < ``_P_HEAD``, with the sentinels 0 and 1 at k = 0, 1:
+    each prime in ascending order writes itself over its multiples, so the
+    largest writes last.  Read-only; a short P array is a copy of its start."""
+    head = np.zeros(_P_HEAD, dtype=np.int64)
+    head[1] = 1
+    for p in range(2, _P_HEAD):
+        if not head.item(p):  # no smaller prime wrote here: p is prime
+            head[p::p] = p
+    head.flags.writeable = False
+    return head
 
 
 def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     """int64 array of P(k) for k in [0, n] (entries 0 and 1 are sentinels).
 
-    Derived from the spf array in blocks [2**j, 2**(j+1)):
-    P(k) = max(spf(k), P(k // spf(k))), and k // spf(k) <= k // 2 lies
-    in a block already done.
+    Below ``_P_HEAD`` it is read from :func:`_p_head`.  Past it the odd k
+    come first, in uint32 over their slots: P(k) = k for a prime and
+    max(spf(k), P(k / spf(k))) for a composite.  The odd cofactor
+    k / spf(k) sits in slot slot(k) // spf(k) <= slot(k) / 3, so blocks of
+    slots [lo, 3 lo + 1) read only slots already done.  Then each even
+    k = 2j takes P(j), in blocks of j [lo, 2 lo).
     """
     if n > table.limit:
         raise CoverageError(
             f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}",
             required_limit=n,
         )
-    lpf = table.spf[: n + 1].astype(np.int64)
-    lo = 2
-    while lo <= n:
-        hi = min(2 * lo, n + 1)
-        block = lpf[lo:hi]
-        np.maximum(block, lpf[np.arange(lo, hi) // block], out=block)
+    head = _p_head()
+    if n < _P_HEAD:
+        return head[: n + 1].copy()
+    spf = table.odd_spf[: (n + 1) // 2]
+    slot = np.arange(len(spf), dtype=np.uint32)  # 2 * slot + 1 <= n < 2**32, as the limit is
+    odd = np.where(spf == 0, 2 * slot + 1, spf)  # spf(k), and k itself for a prime
+    lo = _P_HEAD // 2
+    odd[:lo] = head[1::2]
+    while lo < len(odd):
+        hi = min(3 * lo + 1, len(odd))
+        block = odd[lo:hi]
+        np.maximum(block, odd[slot[lo:hi] // block], out=block)
+        lo = hi
+    lpf = np.empty(n + 1, dtype=np.int64)
+    lpf[1::2] = odd
+    lpf[:_P_HEAD:2] = head[::2]
+    lo = _P_HEAD // 2
+    while lo <= n // 2:
+        hi = min(2 * lo, n // 2 + 1)
+        lpf[2 * lo : 2 * hi : 2] = lpf[lo:hi]
         lo = hi
     return lpf
 
@@ -333,25 +384,31 @@ def _rho(n: int) -> int:
 
 def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending; exact for
-    2 <= n < MR_BOUND.  A piece of n up to ``table.limit`` walks the spf
-    chain; a piece past it is certified prime by Miller–Rabin, or split
-    by Brent's rho and both parts factored in turn.
+    2 <= n < MR_BOUND.  The powers of 2 go by bit operations, so every
+    piece is odd.  A piece up to ``table.limit`` walks the spf chain; a
+    piece past it is certified prime by Miller–Rabin, or split by the
+    least of MR_BASES dividing it, or else by Brent's rho, and both parts
+    are factored in turn.
     """
     _check_reach(n)
-    spf, limit = table.spf, table.limit
-    out: list[int] = []
-    pieces = [n]
+    spf, limit = table.odd_spf, table.limit
+    twos = (n & -n).bit_length() - 1
+    out = [2] * twos
+    pieces = [n >> twos]
     while pieces:
         m = pieces.pop()
         if m <= limit:
-            while m > 1:
-                p = spf.item(m)
-                out.append(p)
-                m //= p
+            if m > 1:
+                p = spf.item(m >> 1)
+                while p:
+                    out.append(p)
+                    m //= p
+                    p = spf.item(m >> 1)
+                out.append(m)
         elif _miller_rabin(m):
             out.append(m)
-        else:
-            d = _rho(m)
+        else:  # composite, and not itself a base: a base that divides it is a proper divisor
+            d = next((p for p in MR_BASES if m % p == 0), None) or _rho(m)
             pieces += (d, m // d)
     out.sort()
     return out

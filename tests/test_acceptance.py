@@ -30,7 +30,7 @@ from wdyn import (
 from wdyn import oracle
 
 from test_census import tally
-from test_primes import naive_sieve
+from test_primes import full_spf, naive_sieve
 
 
 def _report(name: str, detail: str = "") -> None:
@@ -87,7 +87,7 @@ def test_c2_cycle_ind_and_termination(table_200k):
     assert ind(table_200k, 75) == 1
     assert ind(table_200k, 98) == 3
 
-    spf = table_200k.spf
+    spf = full_spf(table_200k)
     reaches = {20}
     members = 0
     for n in range(8, 100_001):

@@ -57,7 +57,7 @@ def test_find_b3_parents_specific_values(table_x300):
 def test_find_b3_parents_validates_inputs(table_x300):
     with pytest.raises(ValueError):
         find_b3_parents(table_x300, 100, 7, 100)  # q not prime
-    for q in (1, 0):  # spf[1] == 1 and spf[0] == 0 are sentinels, not primes
+    for q in (1, 0):  # 1 is its slot's sentinel and 0 is even: neither is prime
         with pytest.raises(ValueError):
             find_b3_parents(table_x300, q, 7, 100)
     with pytest.raises(CoverageError) as err:
@@ -68,7 +68,7 @@ def test_find_b3_parents_validates_inputs(table_x300):
 @pytest.mark.parametrize("x", [100, 300])
 def test_find_b3_parents_on_a_table_of_limit_2x(table_x300, x):
     # every q of the box and every prime r up to 2x + q, read against the oracle's own P;
-    # an r past (2x + q) / 2 returns [] before its spf entry, which may lie past the table
+    # an r past (2x + q) / 2 returns [] before its table entry, which may lie past the table
     narrow = build_prime_table(2 * x)
     lpf = oracle.lpf_array(table_x300, 4 * x)
     ps = primes_in_range(table_x300, x, 2 * x).tolist()

@@ -68,16 +68,32 @@ def test_prime_count_to_ten_thousand(table_10k):
     assert primes_in_range(table_10k, 1, table_10k.limit).tolist() == oracle
 
 
+def full_spf(table) -> np.ndarray:
+    """The table's smallest prime factors over [0, limit] as one uint32
+    array, in the layout format-2 and format-3 caches stored: spf[n] = n
+    for a prime, and the sentinels spf[0] = 0, spf[1] = 1.  Even n read
+    2, odd composites their slot."""
+    spf = np.arange(table.limit + 1, dtype=np.uint32)
+    spf[4::2] = 2
+    composite = table.odd_spf != 0
+    composite[0] = False  # n = 1
+    spf[1::2][composite] = table.odd_spf[composite]
+    return spf
+
+
 def assert_spf_invariants(table):
+    assert table.odd_spf.dtype == np.uint16 and len(table.odd_spf) == (table.limit + 1) // 2
+    assert table.odd_spf[0] == 1
+    full = full_spf(table)
     n = np.arange(2, table.limit + 1)
-    spf = table.spf[2:].astype(np.int64)
+    spf = full[2:].astype(np.int64)
     assert np.all(n % spf == 0)
-    assert np.all(table.spf[spf] == spf)  # every spf value is a prime
+    assert np.all(full[spf] == spf)  # every spf value is a prime
     assert np.array_equal(n[spf == n], primes_in_range(table, 1, table.limit))
     # spf(n) is the smallest prime factor exactly when n / spf(n) has none smaller
     q = n // spf
-    assert np.all((q < 2) | (table.spf[q] >= spf))
-    assert table.spf[0] == 0 and table.spf[1] == 1
+    assert np.all((q < 2) | (full[q] >= spf))
+    assert full[0] == 0 and full[1] == 1
 
 
 def assert_range_matches(table, lo, hi, naive):
@@ -102,7 +118,9 @@ def test_spf_invariants_across_segments(table_1m):
 def test_segment_boundaries(monkeypatch, segment):
     monkeypatch.setattr(primes, "_SEGMENT", segment)
     s = segment
-    for limit in sorted({lim for lim in (2, 3, 4, s - 1, s, s + 1, 3 * s + 1, 10_000) if lim >= 2}):
+    # s slots hold the odd n < 2s, so 2s - 1, 2s and 2s + 1 straddle the first segment edge
+    edges = (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 3 * s + 1, 6 * s + 1)
+    for limit in sorted({lim for lim in (2, 3, 4, *edges, 10_000) if lim >= 2}):
         table, naive = build_prime_table(limit), naive_sieve(limit)
         assert primes_in_range(table, 1, table.limit).tolist() == naive, limit
         assert len(table) == len(naive), limit
@@ -117,11 +135,24 @@ def test_segment_boundaries(monkeypatch, segment):
         assert_range_matches(table, lo, hi, naive)
 
 
+# limits of both parities, and the default segment's first edge: 2**18 slots hold the odd n < 2**19
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7, 2**19 - 1, 2**19, 2**19 + 1])
+def test_spf_invariants_at_small_and_segment_edge_limits(limit):
+    table, naive = build_prime_table(limit), naive_sieve(limit)
+    assert_spf_invariants(table)
+    assert primes_in_range(table, 1, limit).tolist() == naive
+    for lo in range(limit - 4, limit + 1):  # the last slots, one of them partial at an even limit
+        assert primes_in_range(table, lo, limit).tolist() == [p for p in naive if p > lo]
+    assert len(table) == len(naive)
+
+
 def test_primes_list_matches_is_prime(table_10k):
-    # primality is spf[n] == n for n >= 2; 0 and 1 are sentinels equal to their index
+    # in the expanded array primality is spf[n] == n for n >= 2, and an odd n's slot holds 0
     n = np.arange(table_10k.limit + 1)
     ps = primes_in_range(table_10k, 1, table_10k.limit)
-    assert np.array_equal(np.flatnonzero((table_10k.spf == n) & (n >= 2)), ps)
+    assert np.array_equal(np.flatnonzero((full_spf(table_10k) == n) & (n >= 2)), ps)
+    odd = np.arange(1, table_10k.limit + 1, 2)
+    assert np.array_equal(odd[table_10k.is_prime_odd(odd)], ps[1:])
     assert ps.dtype == np.int64
     assert np.all(np.diff(ps) > 0)
 
@@ -256,7 +287,7 @@ def test_miller_rabin_matches_sieve_to_two_million():
     # covers the switches at psi_1 = 2047 and psi_2 = 1373653 entry by entry
     table = build_prime_table(2 * 10**6)
     n = np.arange(2, table.limit + 1)
-    assert [primes._miller_rabin(k) for k in range(2, table.limit + 1)] == (table.spf[2:] == n).tolist()
+    assert [primes._miller_rabin(k) for k in range(2, table.limit + 1)] == (full_spf(table)[2:] == n).tolist()
 
 
 NAIVE_REACH = 10**13  # naive_factor of a prime below this takes under about 0.3 s
@@ -309,6 +340,17 @@ def test_largest_prime_factor_on_each_path(table_10k, small, shift, big):
         assert largest_prime_factor(table_10k, n) == max(naive_factor(n)), n
 
 
+def test_factor_list_splits_base_factors_without_rho(monkeypatch):
+    # each piece past a limit-10 table with a factor among MR_BASES is split by
+    # that base; 10007**2 has none and goes to rho.  A split by the gcd with
+    # prod(MR_BASES) would return the piece itself for prod(MR_BASES) and loop
+    table, rho_calls, rho = build_prime_table(10), [], primes._rho
+    monkeypatch.setattr(primes, "_rho", lambda m: rho_calls.append(m) or rho(m))
+    for n in (prod(MR_BASES), 41**3 * 37, 2**5 * 3**7 * 10007**2):
+        assert factor_list(table, n) == naive_factor(n), n
+    assert rho_calls == [10007**2]
+
+
 def test_factor_list_refuses_mr_bound():
     table = build_prime_table(10)
     # MR_BOUND = 1287836182261 * 2575672364521 is the strong pseudoprime to all 13 bases
@@ -322,6 +364,10 @@ def test_factor_list_refuses_mr_bound():
 def test_largest_prime_factors_matches_oracle(table_1m):
     lpf = largest_prime_factors(table_1m, 10**6)
     assert np.array_equal(lpf[2:], oracle.lpf_array(table_1m, 10**6)[2:])
+    assert lpf[:2].tolist() == [0, 1]  # sentinels
+    head = primes._P_HEAD  # shorter arrays are copies of one precomputed array
+    for n in [*range(50), *range(head - 3, head + 4), 3 * head + 1, 3 * head + 2]:  # both parities
+        assert np.array_equal(largest_prime_factors(table_1m, n), lpf[: n + 1]), n
     with pytest.raises(CoverageError) as err:
         largest_prime_factors(table_1m, 10**6 + 1)
     assert err.value.required_limit == 10**6 + 1
@@ -359,9 +405,9 @@ def test_cache_roundtrip(tmp_path):
     path = tmp_path / "sieve-5000.wdynsieve"
     assert path.exists()
     again = build_prime_table(5000, cache_dir=tmp_path)
-    assert np.array_equal(table.spf, again.spf)
+    assert np.array_equal(table.odd_spf, again.odd_spf)
     assert np.array_equal(primes_in_range(table, 1, 5000), primes_in_range(again, 1, 5000))
-    assert not again.spf.flags.owndata  # a view of the file's bytes, not a copy
+    assert not again.odd_spf.flags.owndata  # a view of the file's bytes, not a copy
 
 
 def test_cache_hit_logs_load_not_build(tmp_path, caplog):
@@ -391,9 +437,9 @@ def test_cache_corrupt_spf_slot_falls_back(tmp_path, caplog):
     build_prime_table(200_000, cache_dir=tmp_path)
     path = tmp_path / "sieve-200000.wdynsieve"
     raw = bytearray(path.read_bytes())
-    slot = 24 + 4 * 99991  # spf of the prime 99991
-    assert int.from_bytes(raw[slot : slot + 4], "little") == 99991
-    raw[slot : slot + 4] = (7).to_bytes(4, "little")
+    slot = 24 + 2 * (99991 >> 1)  # the u16 slot of the prime 99991: 0
+    assert int.from_bytes(raw[slot : slot + 2], "little") == 0
+    raw[slot : slot + 2] = (7).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
     with caplog.at_level("WARNING"):
         table = build_prime_table(200_000, cache_dir=tmp_path)
@@ -416,40 +462,57 @@ def test_cache_format_fields(tmp_path):
     table = build_prime_table(100, cache_dir=tmp_path)
     raw = (tmp_path / "sieve-100.wdynsieve").read_bytes()
     assert raw[:8] == b"WDYNSIEV"
-    assert int.from_bytes(raw[8:12], "little") == 3  # format version
+    assert int.from_bytes(raw[8:12], "little") == 4  # format version
     assert int.from_bytes(raw[12:20], "little") == 100  # limit
     assert int.from_bytes(raw[20:24], "little") == zlib.crc32(raw[24:])  # payload checksum
-    # header + u32 spf payload
-    assert len(raw) == 24 + 4 * 101
+    # header + u16 payload, one slot per odd n in [1, 100]
+    assert len(raw) == 24 + 2 * 50
+    assert raw[24:].startswith(b"\x01\x00" + b"\x00\x00" * 3 + b"\x03\x00")  # n = 1, 3, 5, 7, 9
     loaded = _load_table(tmp_path / "sieve-100.wdynsieve", 100)
-    assert np.array_equal(loaded.spf, table.spf)
+    assert np.array_equal(loaded.odd_spf, table.odd_spf)
 
 
-# checksums of the spf section of format-2 caches, written before the
-# prime bit section was dropped; a match shows the sieve's bytes are unchanged
+# checksums of the u32 spf array over [0, limit] that format-2 and
+# format-3 caches stored; a match of the expanded table shows the sieve's
+# values are unchanged
 PINNED_CACHE_CRCS = {262_143: 0x91877B38, 262_144: 0x15BCED36, 262_145: 0x474DCEFF, 10**6: 0xA9EF3602}
 
 
 @pytest.mark.parametrize("limit", PINNED_CACHE_CRCS)
 def test_cache_bytes_pinned(tmp_path, limit):
-    build_prime_table(limit, cache_dir=tmp_path)
+    built = build_prime_table(limit, cache_dir=tmp_path)
     raw = (tmp_path / f"sieve-{limit}.wdynsieve").read_bytes()
-    assert int.from_bytes(raw[20:24], "little") == PINNED_CACHE_CRCS[limit]
-    assert zlib.crc32(raw[24:]) == PINNED_CACHE_CRCS[limit]
+    assert int.from_bytes(raw[20:24], "little") == zlib.crc32(raw[24:])
+    assert np.array_equal(np.frombuffer(raw[24:], dtype="<u2"), built.odd_spf)
+    assert zlib.crc32(full_spf(built).astype("<u4")) == PINNED_CACHE_CRCS[limit]
 
 
 def test_cache_format_2_is_rebuilt(tmp_path, caplog):
     # a format-2 file as earlier versions wrote it: packed prime bits, then the spf array
     table = build_prime_table(300)
     bits = np.packbits(np.isin(np.arange(301), primes_in_range(table, 1, 300)), bitorder="little")
-    payload = bits.tobytes() + table.spf.astype("<u4").tobytes()
+    payload = bits.tobytes() + full_spf(table).astype("<u4").tobytes()
     path = tmp_path / "sieve-300.wdynsieve"
     path.write_bytes(struct.pack("<8sIQI", b"WDYNSIEV", 2, 300, zlib.crc32(payload)) + payload)
     with caplog.at_level("WARNING"):
         again = build_prime_table(300, cache_dir=tmp_path)
-    assert "format version 2 != 3" in caplog.text and "rebuilding" in caplog.text
+    assert "format version 2 != 4" in caplog.text and "rebuilding" in caplog.text
     assert np.array_equal(primes_in_range(again, 1, 300), primes_in_range(table, 1, 300))
-    assert path.stat().st_size == 24 + 4 * 301  # rewritten as format 3
+    assert path.stat().st_size == 24 + 2 * 150  # rewritten as format 4
+
+
+def test_cache_format_3_is_rebuilt(tmp_path, caplog):
+    # a format-3 file as earlier versions wrote it: the u32 spf array over [0, limit]
+    table = build_prime_table(301)
+    payload = full_spf(table).astype("<u4").tobytes()
+    path = tmp_path / "sieve-301.wdynsieve"
+    path.write_bytes(struct.pack("<8sIQI", b"WDYNSIEV", 3, 301, zlib.crc32(payload)) + payload)
+    with caplog.at_level("WARNING"):
+        again = build_prime_table(301, cache_dir=tmp_path)
+    assert "format version 3 != 4" in caplog.text and "rebuilding" in caplog.text
+    assert np.array_equal(again.odd_spf, table.odd_spf)
+    assert path.stat().st_size == 24 + 2 * 151  # rewritten as format 4
+    assert np.array_equal(build_prime_table(301, cache_dir=tmp_path).odd_spf, table.odd_spf)
 
 
 def test_save_load_helpers_roundtrip(tmp_path):
