@@ -104,14 +104,10 @@ def _spf_sieve(limit: int) -> np.ndarray:
     from lo on, in descending order and without a mask: the smallest prime
     dividing a slot's n writes last, so the slot ends up holding it.  A
     slot no prime writes keeps its 0, and its n is prime exactly then.
+    The odd primes p come from this same sieve to sqrt(limit).
     """
-    root = isqrt(limit)
-    flags = np.ones(root + 1, dtype=bool)  # root < 2**16 as limit < 2**32
-    flags[:2] = False
-    for p in range(2, isqrt(root) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    small = np.nonzero(flags)[0][1:].tolist()  # the odd primes up to root
+    root = isqrt(limit)  # < 2**16 as limit < 2**32: the recursion is at most 5 deep
+    small = (2 * np.flatnonzero(_spf_sieve(root) == 0) + 1).tolist() if root >= 3 else []
     # zero pages of a mapping of its own: a table under malloc's mmap threshold
     # (128 KiB) would sit in the heap among the temporaries of later work, and
     # at limit 120001 that made each census and its report 10-20% slower (2-core Xeon)
@@ -273,42 +269,18 @@ def largest_prime_factor(table: PrimeTable, n: int) -> int:
     return m
 
 
-@cache
-def _p_head() -> np.ndarray:
-    """P(k) for k < ``_P_HEAD``, with the sentinels 0 and 1 at k = 0, 1:
-    each prime in ascending order writes itself over its multiples, so the
-    largest writes last.  Read-only; a short P array is a copy of its start."""
-    head = np.zeros(_P_HEAD, dtype=np.int64)
-    head[1] = 1
-    for p in range(2, _P_HEAD):
-        if not head.item(p):  # no smaller prime wrote here: p is prime
-            head[p::p] = p
-    head.flags.writeable = False
-    return head
-
-
-def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
-    """int64 array of P(k) for k in [0, n] (entries 0 and 1 are sentinels).
-
-    Below ``_P_HEAD`` it is read from :func:`_p_head`.  Past it the odd k
-    come first, in uint32 over their slots: P(k) = k for a prime and
-    max(spf(k), P(k / spf(k))) for a composite.  The odd cofactor
-    k / spf(k) sits in slot slot(k) // spf(k) <= slot(k) / 3, so blocks of
-    slots [lo, 3 lo + 1) read only slots already done.  Then each even
-    k = 2j takes P(j), in blocks of j [lo, 2 lo).
-    """
-    if n > table.limit:
-        raise CoverageError(
-            f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}",
-            required_limit=n,
-        )
-    head = _p_head()
-    if n < _P_HEAD:
-        return head[: n + 1].copy()
-    spf = table.odd_spf[: (n + 1) // 2]
+def _p_array(odd_spf: np.ndarray, n: int, head: np.ndarray) -> np.ndarray:
+    """int64 P(k) for k in [0, n] from the odd slots over [0, n], past
+    ``head``, the P array over [0, len(head)).  The odd k come first, in
+    uint32 over their slots: P(k) = k for a prime and max(spf(k),
+    P(k / spf(k))) for a composite, whose odd cofactor sits in slot
+    slot(k) // spf(k) <= slot(k) / 3, so blocks of slots [lo, 3 lo + 1) read
+    only slots already done.  Then each even k = 2j takes P(j), in blocks
+    of j [lo, 2 lo)."""
+    spf = odd_spf[: (n + 1) // 2]
     slot = np.arange(len(spf), dtype=np.uint32)  # 2 * slot + 1 <= n < 2**32, as the limit is
     odd = np.where(spf == 0, 2 * slot + 1, spf)  # spf(k), and k itself for a prime
-    lo = _P_HEAD // 2
+    lo = len(head) // 2  # the odd k in the head
     odd[:lo] = head[1::2]
     while lo < len(odd):
         hi = min(3 * lo + 1, len(odd))
@@ -317,13 +289,40 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
         lo = hi
     lpf = np.empty(n + 1, dtype=np.int64)
     lpf[1::2] = odd
-    lpf[:_P_HEAD:2] = head[::2]
-    lo = _P_HEAD // 2
+    lpf[: len(head) : 2] = head[::2]
+    lo = (len(head) + 1) // 2  # the even k in the head
     while lo <= n // 2:
         hi = min(2 * lo, n // 2 + 1)
         lpf[2 * lo : 2 * hi : 2] = lpf[lo:hi]
         lo = hi
     return lpf
+
+
+@cache
+def _p_head() -> np.ndarray:
+    """P(k) for k < ``_P_HEAD``, sentinels 0 and 1 at k = 0, 1, grown from
+    [0, 1, 2].  Read-only; a short P array is a copy of its start."""
+    head = _p_array(_spf_sieve(_P_HEAD - 1), _P_HEAD - 1, np.arange(3))
+    head.flags.writeable = False
+    return head
+
+
+def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
+    """int64 array of P(k) for k in [0, n] (entries 0 and 1 are sentinels).
+
+    Below ``_P_HEAD`` a copy of :func:`_p_head`, past it grown from that head.
+    """
+    if n < 0:
+        raise ValueError(f"P array needs n >= 0, got {n}")
+    if n > table.limit:
+        raise CoverageError(
+            f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}",
+            required_limit=n,
+        )
+    head = _p_head()
+    if n < _P_HEAD:
+        return head[: n + 1].copy()
+    return _p_array(table.odd_spf, n, head)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -351,13 +350,11 @@ def _miller_rabin(n: int) -> bool:
 
 
 def _rho(n: int) -> int:
-    """A proper divisor of the composite n: Pollard's rho with Brent's
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
     cycle-finding on y**2 + c (Brent 1980).  The differences x - y of
     ``_RHO_BATCH`` steps are multiplied together mod n and share one gcd;
     a batch whose gcd is n is stepped again one gcd at a time, and c moves
     on when even that gives n."""
-    if n % 2 == 0:
-        return 2
     for c in count(1):
         y, q, g, r = 2, 1, 1, 1
         while g == 1:

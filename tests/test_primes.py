@@ -343,8 +343,18 @@ def test_largest_prime_factor_on_each_path(table_10k, small, shift, big):
 def test_factor_list_splits_base_factors_without_rho(monkeypatch):
     # each piece past a limit-10 table with a factor among MR_BASES is split by
     # that base; 10007**2 has none and goes to rho.  A split by the gcd with
-    # prod(MR_BASES) would return the piece itself for prod(MR_BASES) and loop
-    table, rho_calls, rho = build_prime_table(10), [], primes._rho
+    # prod(MR_BASES) would return the piece itself for prod(MR_BASES) and loop:
+    # the three inputs make 20, 7 and 10 Miller–Rabin calls, and a budget on
+    # those calls makes such a loop fail instead of hang
+    table, rho_calls, rho, mr = build_prime_table(10), [], primes._rho, primes._miller_rabin
+    mr_calls = count(1)
+
+    def bounded_mr(m):
+        if next(mr_calls) > 64:
+            pytest.fail("factor_list made over 64 Miller–Rabin calls: it loops")
+        return mr(m)
+
+    monkeypatch.setattr(primes, "_miller_rabin", bounded_mr)
     monkeypatch.setattr(primes, "_rho", lambda m: rho_calls.append(m) or rho(m))
     for n in (prod(MR_BASES), 41**3 * 37, 2**5 * 3**7 * 10007**2):
         assert factor_list(table, n) == naive_factor(n), n
@@ -371,6 +381,9 @@ def test_largest_prime_factors_matches_oracle(table_1m):
     with pytest.raises(CoverageError) as err:
         largest_prime_factors(table_1m, 10**6 + 1)
     assert err.value.required_limit == 10**6 + 1
+    for n in (-1, -5):  # not a slice of the head from its end
+        with pytest.raises(ValueError, match="n >= 0"):
+            largest_prime_factors(table_1m, n)
 
 
 def test_factorize_examples(table_10k):
@@ -456,6 +469,43 @@ def test_cache_bad_magic_falls_back(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         table = build_prime_table(300, cache_dir=tmp_path)
     assert len(table) == 62  # pi(300)
+
+
+def _wrong_first_slots(raw):  # n = 9 read as prime, under a valid header and crc
+    payload = raw[24:32] + b"\x00\x00" + raw[34:]
+    return raw[:20] + zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
+@pytest.mark.parametrize(
+    "reason, corrupt",
+    [
+        ("truncated header", lambda raw: raw[:23]),
+        ("cached limit 303 != requested 301", lambda raw: raw[:12] + (303).to_bytes(8, "little") + raw[20:]),
+        ("payload fails sanity check", _wrong_first_slots),
+    ],
+)
+def test_cache_refusal_is_logged_and_rebuilt(tmp_path, caplog, reason, corrupt):
+    fresh = build_prime_table(301)
+    path = tmp_path / "sieve-301.wdynsieve"
+    _save_table(fresh, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with caplog.at_level("WARNING", logger="wdyn.primes"):
+        table = build_prime_table(301, cache_dir=tmp_path)
+    assert f"({reason}); rebuilding" in caplog.text
+    assert np.array_equal(table.odd_spf, fresh.odd_spf)
+    assert np.array_equal(_load_table(path, 301).odd_spf, fresh.odd_spf)  # rewritten valid
+
+
+def test_limit_from_2_32_refused_before_any_allocation(tmp_path, monkeypatch):
+    sieved = []
+    monkeypatch.setattr(primes, "_spf_sieve", lambda limit: sieved.append(limit) or np.zeros(1, np.uint16))
+    monkeypatch.setattr(primes, "_load_table", lambda *args: pytest.fail("cache read"))
+    for limit in (2**32, 2**40):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            build_prime_table(limit, cache_dir=tmp_path)
+    assert sieved == [] and list(tmp_path.iterdir()) == []
+    build_prime_table(2**32 - 1)  # the largest limit passes the check, here to a stub sieve
+    assert sieved == [2**32 - 1]
 
 
 def test_cache_format_fields(tmp_path):
