@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import mmap
+import os
 import struct
 import uuid
 import zlib
@@ -181,13 +182,18 @@ def _save_table(table: PrimeTable, path: Path) -> None:
 
 
 def _load_table(path: Path, limit: int) -> PrimeTable:
+    head = struct.calcsize(CACHE_HEADER)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < head:
+                raise CacheError("truncated header")
+            # read into a mapping of its own, as _spf_sieve builds into: a
+            # heap bytes would keep a table under 128 KiB among the heap's temporaries
+            raw = mmap.mmap(-1, size)
+            size = fh.readinto(raw)  # short if the file shrank since the fstat
     except OSError as exc:
         raise CacheError(str(exc)) from exc
-    head = struct.calcsize(CACHE_HEADER)
-    if len(raw) < head:
-        raise CacheError("truncated header")
     magic, version, stored_limit, crc = struct.unpack_from(CACHE_HEADER, raw)
     if magic != CACHE_MAGIC:
         raise CacheError("bad magic")
@@ -196,8 +202,8 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     if stored_limit != limit:
         raise CacheError(f"cached limit {stored_limit} != requested {limit}")
     expected = head + 2 * ((limit + 1) // 2)
-    if len(raw) != expected:
-        raise CacheError(f"payload size {len(raw)} != expected {expected}")
+    if size != expected:
+        raise CacheError(f"payload size {size} != expected {expected}")
     if zlib.crc32(memoryview(raw)[head:]) != crc:
         raise CacheError("payload checksum mismatch")
     spf = np.frombuffer(raw, dtype="<u2", offset=head)  # a view, not a copy: never written to

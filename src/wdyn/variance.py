@@ -6,6 +6,11 @@ the bound (N + X**2) * Z; and its specialization to primes in (x, 2x]
 split along progressions p = -p1 (mod r) for window primes r, against
 the bound x**2 / log(x).
 
+The classes mod r are sums of the classes mod m = r * (X // r), the
+largest multiple of r up to X, so the residue sum reads the sample once
+for each m in (X/2, X], X - X // 2 times, and folds the counts mod m
+for every r that m belongs to.
+
 The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
 sum over r of num_r / r**2 with an integer numerator num_r, combined in
@@ -49,14 +54,14 @@ class SequenceSample:
             vals = np.array([int(v) for v in values], dtype=np.int64)
         except OverflowError:
             raise ValueError("sample values must lie in [1, 2**63)") from None
-        unique = np.unique(vals)
-        if len(unique) != len(vals):
+        vals.sort()  # in place: sorted, a repeat sits next to its twin
+        if np.any(vals[1:] == vals[:-1]):
             raise ValueError("sample values must be distinct")
         if bound is None:
-            bound = int(unique[-1]) if len(unique) else 1
-        if len(unique) and (unique[0] < 1 or int(unique[-1]) > bound):
+            bound = int(vals[-1]) if len(vals) else 1
+        if len(vals) and (vals[0] < 1 or int(vals[-1]) > bound):
             raise ValueError(f"sample values must lie in [1, {bound}]")
-        return SequenceSample(values=unique, bound=bound)
+        return SequenceSample(values=vals, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -114,14 +119,25 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
     (Z(N; r, a) - Z/r)**2, computed exactly: for each r the inner sum
     times r equals r * sum(c_a**2) - Z**2, an integer (the cross terms
     collapse because the counts sum to Z).  Bounded by (N + X**2) * Z.
+
+    The counts mod r are folded from those mod m = r * (X // r), the
+    largest multiple of r up to X, which lies in (X/2, X]: class a mod r
+    is the sum of the classes b = a (mod r) mod m, the column sums of the
+    counts mod m as rows of length r.  So the sample is read once per m,
+    X - X // 2 times, and each fold reads at most X counts.
     """
     if x_bound < 2:
         raise ValueError(f"modulus cutoff must be >= 2, got {x_bound}")
     z = sample.size
-    total = 0
+    moduli: dict[int, list[int]] = {}
     for r in range(1, x_bound + 1):
-        counts = residue_counts(sample, r)
-        total += r * int(np.dot(counts, counts)) - z * z
+        moduli.setdefault(x_bound // r * r, []).append(r)
+    total = 0
+    for m, rs in moduli.items():
+        counts_m = residue_counts(sample, m)
+        for r in rs:
+            counts = counts_m.reshape(-1, r).sum(axis=0)
+            total += r * int(np.dot(counts, counts)) - z * z
     bound = float((sample.bound + x_bound * x_bound) * z)
     return VarianceReport(
         scale=x_bound, lhs=Fraction(total), bound_form="(N+X^2)Z", bound_value=bound

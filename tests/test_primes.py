@@ -1,5 +1,6 @@
 """Prime engine tests, checked against independent naive oracles."""
 
+import mmap
 import struct
 import zlib
 from itertools import count
@@ -563,6 +564,18 @@ def test_cache_format_3_is_rebuilt(tmp_path, caplog):
     assert np.array_equal(again.odd_spf, table.odd_spf)
     assert path.stat().st_size == 24 + 2 * 151  # rewritten as format 4
     assert np.array_equal(build_prime_table(301, cache_dir=tmp_path).odd_spf, table.odd_spf)
+
+
+def test_warm_table_below_128_kib_is_its_own_mapping(tmp_path, caplog):
+    # a heap buffer under malloc's mmap threshold would sit among later temporaries
+    build_prime_table(120001, cache_dir=tmp_path)
+    with caplog.at_level("INFO", logger="wdyn.primes"):
+        warm = build_prime_table(120001, cache_dir=tmp_path)
+    assert "loaded prime table" in caplog.text
+    assert warm.odd_spf.nbytes < 128 * 1024
+    base = warm.odd_spf.base
+    assert isinstance(getattr(base, "obj", base), mmap.mmap)
+    assert np.array_equal(warm.odd_spf, build_prime_table(120001).odd_spf)
 
 
 def test_save_load_helpers_roundtrip(tmp_path):

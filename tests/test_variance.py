@@ -20,7 +20,7 @@ from wdyn import (
     residue_counts,
     window_bounds,
 )
-from wdyn import oracle
+from wdyn import oracle, variance
 from wdyn.parents import class_counts
 from wdyn.variance import EXACT_X_CUTOFF, _progression_numerators
 
@@ -53,6 +53,7 @@ def test_residue_counts_near_2_pow_62():
         for v in vals:
             expected[v % r] += 1
         assert residue_counts(sample, r).tolist() == expected, r
+    assert residue_count_variance(sample, 12).lhs == oracle.residue_variance(vals, 12)  # folded from mod 7..12
 
 
 def test_residue_counts_validation():
@@ -117,6 +118,37 @@ def test_variance_hand_checked_values():
 def test_variance_matches_direct_summation(sample, x_bound):
     report = residue_count_variance(sample, x_bound)
     assert report.lhs == oracle.residue_variance(list(sample.values), x_bound)
+
+
+# values up to a drawn top <= 10**3, so X may exceed every value
+wide_samples = st.integers(min_value=1, max_value=1000).flatmap(
+    lambda top: st.builds(
+        lambda vals: SequenceSample.from_values(sorted(vals), bound=1000),
+        st.sets(st.integers(min_value=1, max_value=top), max_size=40),
+    )
+)
+
+
+@pytest.mark.parametrize("x_bound", [2, 3, 4, 12, 60, 97, 360])
+@settings(max_examples=6, deadline=None)
+@given(sample=wide_samples)
+def test_folded_variance_matches_direct_summation(sample, x_bound):
+    # primes, highly composite cutoffs and cutoffs past the largest value
+    report = residue_count_variance(sample, x_bound)
+    assert report.lhs == oracle.residue_variance(sample.values.tolist(), x_bound)
+
+
+@pytest.mark.parametrize("x_bound", [2, 3, 12, 97, 360, 1000])
+def test_variance_reads_the_sample_once_per_modulus_above_half(monkeypatch, x_bound):
+    moduli = []
+
+    def counting(sample, r):
+        moduli.append(r)
+        return residue_counts(sample, r)
+
+    monkeypatch.setattr(variance, "residue_counts", counting)
+    residue_count_variance(SequenceSample.from_values(range(1, 2 * x_bound, 3)), x_bound)
+    assert sorted(moduli) == list(range(x_bound // 2 + 1, x_bound + 1))
 
 
 @settings(max_examples=30, deadline=None)
