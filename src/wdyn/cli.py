@@ -18,17 +18,17 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .dynamics import DEFAULT_CAP, classify, ind, trajectory
-from .errors import CacheError, CapExceededError, CoverageError
+from .errors import CapExceededError, CoverageError
 from .parents import ParentQuery, census_b3, census_c3, find_parents
 from .primes import PrimeTable, build_prime_table
 from .variance import SequenceSample, prime_progression_variance, residue_count_variance
 
 logger = logging.getLogger(__name__)
 
-# default x caps of the censuses: thm1 memory grows with its parent count (192 MB at 10**4,
-# about 1 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
-# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.7-0.8 s and a 405 MB process
-# peak at 3*10**5 (295 MB with glibc's mmap threshold fixed at 128 KiB: the rest is malloc's, not live)
+# default x caps of the censuses: thm1 memory grows with its parent count (146 MB at 10**4,
+# 0.72 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
+# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.7-0.9 s and a 379 MB process
+# peak at 3*10**5 (293 MB with glibc's mmap threshold fixed at 128 KiB: the rest is malloc's, not live)
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 _CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk
@@ -168,7 +168,7 @@ def cmd_lemma2(args) -> int:
     try:
         tokens = Path(args.file).read_text().split()
     except OSError as exc:
-        raise CacheError(f"cannot read {args.file}: {exc}") from exc
+        raise OSError(f"cannot read {args.file}: {exc}") from exc
     sample = SequenceSample.from_values(tokens, bound=args.N)
     report = residue_count_variance(sample, args.X)
     print(

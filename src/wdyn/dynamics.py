@@ -157,5 +157,5 @@ def ind(table: PrimeTable, n: int, cap: int = DEFAULT_CAP) -> int:
     """
     traj = trajectory(table, n, cap=cap)
     if traj.index is None:
-        raise CapExceededError(f"orbit of {n} did not reach 20 within cap {cap}", cap=cap)
+        raise CapExceededError(f"orbit of {n} did not reach 20 within cap {cap}")
     return traj.index

@@ -11,17 +11,19 @@ the same congruence.  The table is read up to 2x (B3: max(2x, q)).
 
 Census counting conventions: parents are unordered triples of primes,
 each counted once; census keys are the images n; argmax ties break
-toward the smallest image.  A window prime r divides a pair sum
-s <= 4x exactly when P(s) = r, so thm2 and thm3 read the classes of the
-box primes mod each window prime; thm1 reads the window hits of the
-pair sums in blocks of pivot rows.  A pair sum s of box primes is even,
-so P(s) = P(s / 2), and every census reads the table and P only to 2x.
+toward the smallest image.  Each mode is a kernel yielding blocks of
+packed entries image << 8 | count, and one driver tallies them in one
+sort.  A window prime r divides a pair sum s <= 4x exactly when
+P(s) = r, so the thm2 and thm3 kernels read the classes of the box
+primes mod each window prime; thm1's reads the window hits of the pair
+sums in blocks of pivot rows.  A pair sum s of box primes is even, so
+P(s) = P(s / 2), and every census reads the table and P only to 2x.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -62,10 +64,7 @@ def find_b3_parents(table: PrimeTable, q: int, r: int, x: int) -> list[int]:
         return []  # P(p + q) = r needs r <= p + q <= 2x + q, and p + q is even when q is odd (p > x >= 2 is)
     need = max(2 * x, q, r)  # r <= max(2x, q) for odd q
     if table.limit < need:
-        raise CoverageError(
-            f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {need}, have {table.limit}",
-            required_limit=need,
-        )
+        raise CoverageError(f"find_b3_parents(q={q}, r={r}, x={x}) needs table limit >= {need}, have {table.limit}")
     if not all(m == 2 or (m > 2 and m % 2 and table.is_prime_odd(m)) for m in (q, r)):
         raise ValueError(f"q and r must be prime, got q={q}, r={r}")
     k = np.arange((x + q) // r + 1, hi // r + 1)
@@ -232,18 +231,6 @@ def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterat
         yield r, counts
 
 
-def _census_setup(table: PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box and window primes of a census, x checked; the box first, so a short table asks for 2x."""
-    if x < 10:
-        raise ValueError(f"censuses require x >= 10, got {x}")
-    r_lo, r_hi = window_bounds(x)
-    # images r1*r2*q and q*r**2 (q = P of half an even pair sum, so q <= 2x) are at most
-    # r_hi**2 * 2x; a tally packs image << 8 | count, a count being at most one class mod r_lo + 1
-    if r_hi * r_hi * 2 * x >= 2**55 or -(-x // (r_lo + 1)) > 255:
-        raise ValueError(f"census images at x={x} would overflow int64")
-    return primes_in_range(table, x, 2 * x), primes_in_range(table, r_lo, r_hi)
-
-
 def _tally(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending distinct images of the entries image << 8 | count and
     their summed counts.  Sorts ``packed`` in place and reuses it."""
@@ -252,31 +239,65 @@ def _tally(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed >>= 8
     first = np.ones(len(packed), dtype=bool)
     np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    if first.all():  # distinct images (thm3 always): two entry-sized arrays at the peak, not four
+    if first.all():  # no image in two entries: two entry-sized arrays at the peak, not four
         return packed, counts
     first = np.flatnonzero(first)
     return packed[first], np.add.reduceat(counts, first)
 
 
-def _finish_census(table: PrimeTable, x: int, mode: str, images: np.ndarray, counts: np.ndarray) -> ParentCensus:
-    """The census of the tally (images, counts), images ascending and
-    distinct, so the first maximum count is the argmax with ties toward
-    the smallest image.  Its factors are within reach of the table: two
-    of them are window primes and the third is at most 2x."""
+def _census(table: PrimeTable, x: int, mode: str, kernel: Callable[..., Iterator[np.ndarray]]) -> ParentCensus:
+    """The ``mode`` census of the blocks of entries image << 8 | count that
+    ``kernel(table, x, ps, rs)`` yields from the box primes ps and window
+    primes rs.  The tally's images ascend, so the first maximum count is the
+    argmax, ties toward the smallest image; two of its factors are window
+    primes and the third is at most 2x, all within reach of the table."""
+    if x < 10:
+        raise ValueError(f"censuses require x >= 10, got {x}")
+    r_lo, r_hi = window_bounds(x)
+    # images r1*r2*q and q*r**2 (q = P of half an even pair sum, so q <= 2x) are at most
+    # r_hi**2 * 2x; a tally packs image << 8 | count, a count being at most one class mod r_lo + 1
+    if r_hi * r_hi * 2 * x >= 2**55 or -(-x // (r_lo + 1)) > 255:
+        raise ValueError(f"census images at x={x} would overflow int64")
+    ps = primes_in_range(table, x, 2 * x)  # the box first, so a short table asks for 2x
+    rs = primes_in_range(table, r_lo, r_hi)
+    # the list of blocks is freed once they are joined, before the sort
+    images, counts = _tally(np.concatenate(list(kernel(table, x, ps, rs))))
     argmax, factors = (0, 0), ()
     if len(images):
         i = int(np.argmax(counts))
         argmax = (int(images[i]), int(counts[i]))
         factors = tuple(factor_list(table, argmax[0]))
-    return ParentCensus(
-        x=x, mode=mode, images=images, counts=counts, argmax=argmax, argmax_factors=factors
-    )
+    return ParentCensus(x=x, mode=mode, images=images, counts=counts, argmax=argmax, argmax_factors=factors)
 
 
-def _thm2_packed(ps: np.ndarray, lpf: np.ndarray, rs: np.ndarray) -> Iterator[np.ndarray]:
-    """The thm2 tally entries (q*r**2) << 8 | C_r(-b), one per pair {a, a'} of
-    box primes ``ps`` in one class b mod a window prime r, q = P(a + a'),
+def _thm1(table: PrimeTable, x: int, ps: np.ndarray, rs: np.ndarray) -> Iterator[np.ndarray]:
+    """The thm1 entries (r1*r2*q) << 8 | 1, one per pivot's window hits
+    r1 = P(pivot + a) and r2 = P(pivot + b), partners a < b, q = P(a + b),
+    in blocks of pivot rows of about ``_ROW_BLOCK`` pair sums."""
+    r_lo, r_hi = window_bounds(x)
+    lpf = largest_prime_factors(table, 2 * x)
+    step = max(1, _ROW_BLOCK // len(ps))
+    for i0 in range(0, len(ps), step):
+        block = lpf[(ps[i0 : i0 + step, None] + ps) >> 1]
+        np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
+        flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
+        piv, j = np.divmod(flat, len(ps))
+        piv, p, r = ps[i0 + piv], ps[j], block.ravel()[flat]  # row by row: runs of one pivot, partners ascending
+        a, b = _run_pairs(piv)  # p[a] < p[b]
+        s = p[a]
+        s += p[b]  # in place, as in _ragged: one fresh pair-sized array fewer per block
+        s >>= 1
+        r1, r2, q = r[a], r[b], lpf[s]
+        # q not in {r1, r2}, else not C3; q in the window designates all three: count at the smallest
+        ok = (r1 != r2) & (q != r1) & (q != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
+        yield (r1[ok] * r2[ok] * q[ok]) << 8 | 1
+
+
+def _thm2(table: PrimeTable, x: int, ps: np.ndarray, rs: np.ndarray) -> Iterator[np.ndarray]:
+    """The thm2 entries (q*r**2) << 8 | C_r(-b), one per pair {a, a'} of
+    box primes in one class b mod a window prime r, q = P(a + a'),
     in blocks of window primes of about ``_ROW_BLOCK`` (r, prime) cells."""
+    lpf = largest_prime_factors(table, 2 * x)
     step = max(1, _ROW_BLOCK // len(ps))
     for i0 in range(0, len(rs), step):
         rb = rs[i0 : i0 + step, None]
@@ -295,6 +316,16 @@ def _thm2_packed(ps: np.ndarray, lpf: np.ndarray, rs: np.ndarray) -> Iterator[np
         yield (q * rb[row[a], 0] ** 2) << 8 | c[opp[flat[a]]]
 
 
+def _thm3(table: PrimeTable, x: int, ps: np.ndarray, rs: np.ndarray) -> Iterator[np.ndarray]:
+    """The thm3 entries (q*r**2) << 8 | c, one per box prime q and window
+    prime r with c = C_r(-q) - [q = r] > 0 partners, read from
+    :func:`class_counts`; (q, r) fixes the image."""
+    k = ps >> 1
+    for r, d in class_counts(ps, x, 2 * x, rs.tolist()):
+        c = d[r - 1 - k % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
+        yield (ps[c > 0] * (r * r)) << 8 | c[c > 0]
+
+
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
     """Census of C3 parents over the box (x, 2x].
 
@@ -308,37 +339,11 @@ def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:
       prime r), giving images of the form q*r**2.
 
     Each qualifying triple is counted exactly once regardless of how
-    many designated primes qualify.  thm1 pairs the window hits of each
-    pivot's pair sums.  thm2 pairs the box primes within one class b mod
-    a window prime r: each pair {a, a'} gives q*r**2, q = P(a + a'), one
-    parent per box prime in class -b.  Both read P over [0, 2x]: pair
-    sums s of box primes are even and past 4, so P(s) = P(s / 2).
+    many designated primes qualify.
     """
     if mode not in ("thm1", "thm2"):
         raise ValueError(f"census_c3 mode must be thm1 or thm2, got {mode!r}")
-    ps, rs = _census_setup(table, x)
-    lpf = largest_prime_factors(table, 2 * x)
-    if mode == "thm2":
-        packed = np.concatenate(list(_thm2_packed(ps, lpf, rs)))
-        return _finish_census(table, x, mode, *_tally(packed))
-    r_lo, r_hi = window_bounds(x)
-    rows = []
-    step = max(1, _ROW_BLOCK // len(ps))
-    for i0 in range(0, len(ps), step):
-        block = lpf[(ps[i0 : i0 + step, None] + ps) >> 1]
-        np.fill_diagonal(block[:, i0:], 0)  # a pivot is not its own partner
-        flat = np.flatnonzero((block > r_lo) & (block <= r_hi))
-        piv, j = np.divmod(flat, len(ps))
-        piv, p, r = ps[i0 + piv], ps[j], block.ravel()[flat]  # row by row: runs of one pivot, partners ascending
-        a, b = _run_pairs(piv)  # p[a] < p[b]
-        s = p[a]
-        s += p[b]  # in place, as in _ragged: one fresh pair-sized array fewer per block
-        s >>= 1
-        r1, r2, q = r[a], r[b], lpf[s]
-        # q not in {r1, r2}, else not C3; q in the window designates all three: count at the smallest
-        ok = (r1 != r2) & (q != r1) & (q != r2) & ((q <= r_lo) | (q > r_hi) | (p > piv)[a])
-        rows.append(r1[ok] * r2[ok] * q[ok])
-    return _finish_census(table, x, mode, *np.unique(np.concatenate(rows), return_counts=True))
+    return _census(table, x, mode, _thm1 if mode == "thm1" else _thm2)
 
 
 def census_b3(table: PrimeTable, x: int) -> ParentCensus:
@@ -352,13 +357,7 @@ def census_b3(table: PrimeTable, x: int) -> ParentCensus:
     lemma3's :func:`class_counts`.  No pair sum is formed, and the table
     is read only up to 2x.
     """
-    ps, rs = _census_setup(table, x)
-    k, packed = ps >> 1, []
-    for r, d in class_counts(ps, x, 2 * x, rs.tolist()):
-        c = d[r - 1 - k % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
-        packed.append((ps[c > 0] * (r * r)) << 8 | c[c > 0])  # (q, r) fixes the image
-    packed = np.concatenate(packed)  # rebound: the blocks are freed before the sort
-    return _finish_census(table, x, "thm3", *_tally(packed))
+    return _census(table, x, "thm3", _thm3)
 
 
 @dataclass(frozen=True)

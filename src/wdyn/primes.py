@@ -230,11 +230,7 @@ def primes_in_range(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     odd slots ``_SEGMENT`` at a time (see :func:`_prime_masks`).
     """
     if hi > table.limit:
-        raise CoverageError(
-            f"range ({lo}, {hi}] exceeds table limit {table.limit}; "
-            f"rebuild with limit >= {hi}",
-            required_limit=hi,
-        )
+        raise CoverageError(f"range ({lo}, {hi}] exceeds table limit {table.limit}; rebuild with limit >= {hi}")
     parts = [np.array([2] if lo < 2 <= hi else [], dtype=np.int64)]
     for a, mask in _prime_masks(table, lo, hi):
         n = np.flatnonzero(mask)  # in place from here: slot i of the segment is n = 2(a + i) + 1
@@ -321,10 +317,7 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"P array needs n >= 0, got {n}")
     if n > table.limit:
-        raise CoverageError(
-            f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}",
-            required_limit=n,
-        )
+        raise CoverageError(f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}")
     head = _p_head()
     if n < _P_HEAD:
         return head[: n + 1].copy()

@@ -112,6 +112,19 @@ def test_sieve_command(capsys, tmp_path):
     assert (tmp_path / "sieve-1000.wdynsieve").exists()
 
 
+def test_sieve_cache_write_failure_exit_code(capsys, caplog, tmp_path):
+    # a directory in the cache file's place: the load is refused and the table rebuilt, then
+    # moving the written temp file over the directory fails, and the temp file is removed
+    (tmp_path / "sieve-1000.wdynsieve").mkdir()
+    with caplog.at_level("INFO", logger="wdyn.primes"):
+        code, _, err = run(capsys, "sieve", "--limit", "1000", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert "unusable" in caplog.text and "building prime table to 1000" in caplog.text
+    assert "cannot write sieve cache" in err and ".tmp' -> '" in err
+    assert (tmp_path / "sieve-1000.wdynsieve").is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_parents_count_equals_listing(capsys):
     code, out, _ = run(capsys, "parents", "1547", "--x", "100", "--list")
     assert code == 0

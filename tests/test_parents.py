@@ -60,9 +60,8 @@ def test_find_b3_parents_validates_inputs(table_x300):
     for q in (1, 0):  # 1 is its slot's sentinel and 0 is even: neither is prime
         with pytest.raises(ValueError):
             find_b3_parents(table_x300, q, 7, 100)
-    with pytest.raises(CoverageError) as err:
+    with pytest.raises(CoverageError, match="limit >= 1202"):
         find_b3_parents(table_x300, 101, 7, 601)  # the box (601, 1202] passes the 1201 table
-    assert err.value.required_limit == 1202
 
 
 @pytest.mark.parametrize("x", [100, 300])
@@ -84,9 +83,8 @@ def test_find_b3_parents_on_a_table_of_limit_2x(table_x300, x):
 def test_find_b3_parents_even_q(table_x300):
     # q = 2 makes p + q odd, so P(p + q) can exceed (2x + q) / 2: 17 + 2 = 19 at x = 9
     assert find_b3_parents(table_x300, 2, 19, 9) == oracle.find_b3_parents(table_x300, 2, 19, 9) == [17]
-    with pytest.raises(CoverageError) as err:
+    with pytest.raises(CoverageError, match="limit >= 19"):
         find_b3_parents(build_prime_table(18), 2, 19, 9)  # the box fits, r does not
-    assert err.value.required_limit == 19
 
 
 def _image_targets(table, x, count):
@@ -208,9 +206,8 @@ def test_find_c3_parents_rejects_d3_target(table_x300):
 
 def test_find_c3_parents_coverage(table_x300, table_x10k):
     for x in (601, 700):  # the box (x, 2x] past the 1201 table
-        with pytest.raises(CoverageError) as err:
+        with pytest.raises(CoverageError, match=f"limit >= {2 * x}"):
             find_c3_parents(table_x300, Triple(7, 13, 17), x)
-        assert err.value.required_limit == 2 * x
     # 4x = 1600 is past the table, but the search reads it only up to 2x
     target = Triple(7, 13, 17)
     assert find_c3_parents(table_x300, target, 400) == find_c3_parents(table_x10k, target, 400)
@@ -267,6 +264,11 @@ def test_parent_query_validation(table_x300):
     good = classify(table_x300, 20)
     with pytest.raises(ValueError):
         ParentQuery(target=good, x=1)
+    # the searches check x themselves, for callers that pass no query
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        find_b3_parents(table_x300, 3, 2, 1)
+    with pytest.raises(ValueError, match="x must be >= 2"):
+        find_c3_parents(table_x300, good, 1)
     with pytest.raises(ValueError):
         ParentQuery(target=Triple(3, 3, 3), x=100)
     with pytest.raises(ValueError):

@@ -168,9 +168,8 @@ def test_primes_in_range_examples(table_10k):
 
 
 def test_primes_in_range_coverage_error(table_10k):
-    with pytest.raises(CoverageError) as err:
+    with pytest.raises(CoverageError, match="limit >= 20000"):
         primes_in_range(table_10k, 0, 20_000)
-    assert err.value.required_limit == 20_000
 
 
 def test_primes_in_range_every_small_range():
@@ -367,9 +366,8 @@ def test_factor_list_refuses_mr_bound():
     # MR_BOUND = 1287836182261 * 2575672364521 is the strong pseudoprime to all 13 bases
     assert factor_list(table, MR_BOUND - 2) == [17, 1709, 1366183751, 83570142193]
     for n in (MR_BOUND, 4 * MR_BOUND):
-        with pytest.raises(CoverageError, match=str(MR_BOUND)) as err:
+        with pytest.raises(CoverageError, match=f"only below MR_BOUND = {MR_BOUND}"):
             factor_list(table, n)
-        assert err.value.required_limit is None
 
 
 def test_largest_prime_factors_matches_oracle(table_1m):
@@ -379,9 +377,8 @@ def test_largest_prime_factors_matches_oracle(table_1m):
     head = primes._P_HEAD  # shorter arrays are copies of one precomputed array
     for n in [*range(50), *range(head - 3, head + 4), 3 * head + 1, 3 * head + 2]:  # both parities
         assert np.array_equal(largest_prime_factors(table_1m, n), lpf[: n + 1]), n
-    with pytest.raises(CoverageError) as err:
+    with pytest.raises(CoverageError, match="limit >= 1000001"):
         largest_prime_factors(table_1m, 10**6 + 1)
-    assert err.value.required_limit == 10**6 + 1
     for n in (-1, -5):  # not a slice of the head from its end
         with pytest.raises(ValueError, match="n >= 0"):
             largest_prime_factors(table_1m, n)
