@@ -31,7 +31,6 @@ logger = logging.getLogger(__name__)
 # peak at 3*10**5 (293 MB with glibc's mmap threshold fixed at 128 KiB: the rest is malloc's, not live)
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
-_CSV_BLOCK = 1 << 16  # census CSV rows per formatted chunk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,11 +60,11 @@ def _csv_line(row: tuple) -> str:
 
 
 def _census_csv(censuses: list) -> Iterator[str]:
-    """Census CSV rows, formatted from each census's two arrays _CSV_BLOCK rows at a time."""
+    """Census CSV rows, one formatted chunk per block of ``ParentCensus.row_blocks``,
+    the producer that ``to_csv_rows`` reads too."""
     for c in censuses:
-        for i in range(0, len(c.images), _CSV_BLOCK):
-            rows = c.images[i : i + _CSV_BLOCK].tolist(), c.counts[i : i + _CSV_BLOCK].tolist()
-            yield "".join(map(f"{c.x},{{}},{{}}\r\n".format, *rows))
+        for images, counts in c.row_blocks():
+            yield "".join(map(f"{c.x},{{}},{{}}\r\n".format, images, counts))
 
 
 def _write_report(args, json_payload: dict, csv_lines: Iterable[str], csv_header: list[str]) -> None:
@@ -169,7 +168,7 @@ def cmd_lemma2(args) -> int:
         tokens = Path(args.file).read_text().split()
     except OSError as exc:
         raise OSError(f"cannot read {args.file}: {exc}") from exc
-    sample = SequenceSample.from_values(tokens, bound=args.N)
+    sample = SequenceSample.from_values(map(int, tokens), bound=args.N)  # "abc" raises ValueError: exit 1
     report = residue_count_variance(sample, args.X)
     print(
         f"X={args.X} N={sample.bound} Z={sample.size} lhs={report.lhs} "

@@ -35,6 +35,7 @@ from .primes import PrimeTable, factor_list, largest_prime_factors, primes_in_ra
 
 _JOIN_BLOCK = 1 << 16  # candidate base pairs per join step
 _ROW_BLOCK = 1 << 16  # cells per block: pair sums of pivot rows (thm1), (r, prime) classes (thm2)
+_CSV_BLOCK = 1 << 16  # census report rows per block of ParentCensus.row_blocks
 
 
 def window_bounds(x: int) -> tuple[int, int]:
@@ -207,9 +208,19 @@ class ParentCensus:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
+    def row_blocks(self) -> Iterator[tuple[list[int], list[int]]]:
+        """The report rows as (images, counts) lists of ints, ``_CSV_BLOCK``
+        rows at a time, images ascending: the one source of CSV rows."""
+        for i in range(0, len(self.images), _CSV_BLOCK):
+            yield self.images[i : i + _CSV_BLOCK].tolist(), self.counts[i : i + _CSV_BLOCK].tolist()
+
     def to_csv_rows(self) -> list[tuple[int, int]]:
-        """(target, count) rows sorted by target, for plotting."""
-        return list(zip(self.images.tolist(), self.counts.tolist()))
+        """(target, count) rows sorted by target, for plotting.  Built from
+        :meth:`row_blocks`, so no census-length list of ints sits beside them."""
+        rows = []
+        for images, counts in self.row_blocks():
+            rows.extend(zip(images, counts))
+        return rows
 
 
 def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:

@@ -24,6 +24,7 @@ the compensated sum of the correctly rounded num_r / r**2 beyond it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, log
@@ -50,8 +51,10 @@ class SequenceSample:
 
     @staticmethod
     def from_values(values, bound: int | None = None) -> "SequenceSample":
-        try:
-            vals = np.array([int(v) for v in values], dtype=np.int64)
+        try:  # operator.index takes integers only: 1.5 or a float array is refused, not truncated
+            vals = np.fromiter(map(operator.index, values), dtype=np.int64)
+        except TypeError:
+            raise ValueError("sample values must be integers") from None
         except OverflowError:
             raise ValueError("sample values must lie in [1, 2**63)") from None
         vals.sort()  # in place: sorted, a repeat sits next to its twin

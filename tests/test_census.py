@@ -235,3 +235,55 @@ def test_census_ratio_fields(table_x300):
     thm1 = census_c3(table_x300, 300, mode="thm1")
     assert thm1.bound_form == "x/log^4 x"
     assert thm1.ratio == thm1.argmax[1] / thm1.bound_value > 0
+
+
+@pytest.mark.parametrize("mode", ["thm1", "thm2", "thm3"])
+def test_csv_rows_across_row_blocks(table_x300, monkeypatch, mode):
+    # 1 and 7 rows per block leave a partial last block; 10**9 puts every row in one
+    census = census_b3(table_x300, 300) if mode == "thm3" else census_c3(table_x300, 300, mode=mode)
+    want = list(zip(census.images.tolist(), census.counts.tolist()))
+    assert len(want) % 7
+    for block in (1, 7, 10**9):
+        monkeypatch.setattr("wdyn.parents._CSV_BLOCK", block)
+        assert census.to_csv_rows() == want, block
+
+
+def check_census_exact(table, census, seed):
+    """Checks a census too large for the brute-force oracle against the parent
+    searches and closed forms, which share no kernel with it: the argmax count
+    and 5 seeded rows against find_b3_parents (thm3) or find_c3_parents, and the
+    thm2/thm3 total against the class counts of the box primes mod each window
+    prime, taken here by bincount."""
+    from wdyn import find_b3_parents, find_c3_parents
+
+    x = census.x
+
+    def parents(n):
+        target = classify(table, n)
+        if census.mode != "thm3":
+            return len(find_c3_parents(table, target, x))
+        a, b, c = target.primes
+        q, r = (c, a) if a == b else (a, b)  # q appears once, r twice
+        return len(find_b3_parents(table, q, r, x))
+
+    rows = random.Random(seed).sample(range(len(census.images)), 5)
+    for n, count in [census.argmax] + [(int(census.images[i]), int(census.counts[i])) for i in rows]:
+        assert parents(n) == count, n
+    if census.mode == "thm1":
+        return
+    ps = primes_in_range(table, x, 2 * x)
+    total = 0
+    for r in primes_in_range(table, *window_bounds(x)).tolist():
+        d = np.bincount(ps % r, minlength=r)
+        opposite = d[-np.arange(r) % r]  # the box primes in class -b, for each class b
+        # thm2: a pair {a, a'} in class b and a designated prime in class -b; thm3: p in b, q in -b
+        total += int((d * (d - 1) // 2 if census.mode == "thm2" else d) @ opposite)
+    assert census.total_parents == total
+
+
+# past the brute-force oracle's reach (x <= 10**3 here); the table to 2x is all each census reads
+@pytest.mark.parametrize("mode, x", [("thm1", 10_000), ("thm2", 100_000), ("thm3", 100_000)])
+def test_census_exact_past_the_oracle(table_x10k, table_200k, mode, x):
+    table = table_x10k if x <= 10_000 else table_200k
+    census = census_b3(table, x) if mode == "thm3" else census_c3(table, x, mode=mode)
+    check_census_exact(table, census, seed=x)

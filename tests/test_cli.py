@@ -251,6 +251,25 @@ def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_p
     assert code == 0
 
 
+@pytest.mark.parametrize("mode", ["thm1", "thm2", "thm3"])
+def test_census_csv_bytes_across_row_blocks(capsys, monkeypatch, tmp_path, mode):
+    # the rows of two censuses, formatted one block of row_blocks at a time, are the same bytes
+    # at the default block, at 1 and 7 rows per block and with every row in one block
+    from wdyn import build_prime_table, census_b3, census_c3
+
+    table = build_prime_table(600)
+    want = ["x,target,count\r\n"]
+    for x in (100, 300):
+        census = census_b3(table, x) if mode == "thm3" else census_c3(table, x, mode=mode)
+        want += [f"{x},{n},{c}\r\n" for n, c in zip(census.images.tolist(), census.counts.tolist())]
+    for block in (1 << 16, 1, 7, 10**9):
+        monkeypatch.setattr("wdyn.parents._CSV_BLOCK", block)
+        path = tmp_path / f"{mode}-{block}.csv"
+        code, _, _ = run(capsys, "census", "--mode", mode, "--x-grid", "100,300", "--output", str(path))
+        assert code == 0
+        assert path.read_bytes() == "".join(want).encode(), block
+
+
 def test_census_triple_mode_x_cap(capsys, monkeypatch):
     def no_table(limit, args):
         raise ValueError(f"past the cap: table of limit {limit}")
@@ -294,7 +313,7 @@ def test_lemma2_command(capsys, tmp_path):
     assert "Z=11" in out
 
 
-@pytest.mark.parametrize("bad", [str(2**63), "abc"])
+@pytest.mark.parametrize("bad", [str(2**63), "abc", "1.5"])
 def test_lemma2_bad_value_is_an_error_line(capsys, tmp_path, bad):
     vals = tmp_path / "vals.txt"
     vals.write_text(f"5\n{bad}\n")

@@ -73,6 +73,11 @@ def test_sample_validation():
         SequenceSample.from_values([11, 2], bound=10)  # the range check sees the largest, not the last
     assert SequenceSample.from_values([]).size == 0
     assert SequenceSample.from_values([5, 3]).bound == 5
+    # a non-integer is refused, not truncated (to [1, 2, 10] or [1, 3])
+    for vals in ([1.5, 2.7, 10], np.array([1.9, 3.2]), [2.0, 3], ["5"]):
+        with pytest.raises(ValueError, match="integers"):
+            SequenceSample.from_values(vals, bound=10)
+    assert SequenceSample.from_values(np.array([7, 2]), bound=10).values.tolist() == [2, 7]
 
 
 def test_sample_values_below_2_pow_63():
