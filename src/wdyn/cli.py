@@ -165,10 +165,17 @@ def cmd_census(args) -> int:
 
 def cmd_lemma2(args) -> int:
     try:
-        tokens = Path(args.file).read_text().split()
+        lines = Path(args.file).read_text().splitlines()
     except OSError as exc:
         raise OSError(f"cannot read {args.file}: {exc}") from exc
-    sample = SequenceSample.from_values(map(int, tokens), bound=args.N)  # "abc" raises ValueError: exit 1
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        for tok in line.split():
+            try:
+                values.append(int(tok))
+            except ValueError:  # exit 1, naming the place: "abc" or "1.5"
+                raise ValueError(f"{args.file}:{lineno}: not an integer: {tok!r}") from None
+    sample = SequenceSample.from_values(values, bound=args.N)
     report = residue_count_variance(sample, args.X)
     print(
         f"X={args.X} N={sample.bound} Z={sample.size} lhs={report.lhs} "

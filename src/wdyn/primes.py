@@ -7,8 +7,9 @@ Even n have smallest factor 2 and take no slot.  Odd n sits in slot
 n >> 1, which holds 0 when n is prime and spf(n) when it is composite
 (at most sqrt(limit) < 2**16); slot 0, n = 1, holds 1.  Primality is read
 as a zero slot, the primes of a range by :func:`primes_in_range`'s scan
-of the slots, and the binary cache stores the slots alone.  The table is
-immutable after construction.
+of the slots, and the binary cache stores the slots alone.  The slot
+array is writable, built or loaded, and nothing in this package writes
+to it after construction.
 
 Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
@@ -23,8 +24,6 @@ parent searches.
 from __future__ import annotations
 
 import logging
-import mmap
-import os
 import struct
 import uuid
 import zlib
@@ -109,10 +108,7 @@ def _spf_sieve(limit: int) -> np.ndarray:
     """
     root = isqrt(limit)  # < 2**16 as limit < 2**32: the recursion is at most 5 deep
     small = (2 * np.flatnonzero(_spf_sieve(root) == 0) + 1).tolist() if root >= 3 else []
-    # zero pages of a mapping of its own: a table under malloc's mmap threshold
-    # (128 KiB) would sit in the heap among the temporaries of later work, and
-    # at limit 120001 that made each census and its report 10-20% slower (2-core Xeon)
-    spf = np.frombuffer(mmap.mmap(-1, 2 * ((limit + 1) // 2)), dtype=np.uint16)
+    spf = np.zeros((limit + 1) // 2, dtype=np.uint16)
     spf[0] = 1
     for lo in range(0, len(spf), _SEGMENT):
         hi = min(lo + _SEGMENT, len(spf))
@@ -184,16 +180,11 @@ def _save_table(table: PrimeTable, path: Path) -> None:
 def _load_table(path: Path, limit: int) -> PrimeTable:
     head = struct.calcsize(CACHE_HEADER)
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < head:
-                raise CacheError("truncated header")
-            # read into a mapping of its own, as _spf_sieve builds into: a
-            # heap bytes would keep a table under 128 KiB among the heap's temporaries
-            raw = mmap.mmap(-1, size)
-            size = fh.readinto(raw)  # short if the file shrank since the fstat
+        raw = np.fromfile(path, dtype=np.uint8)
     except OSError as exc:
         raise CacheError(str(exc)) from exc
+    if len(raw) < head:
+        raise CacheError("truncated header")
     magic, version, stored_limit, crc = struct.unpack_from(CACHE_HEADER, raw)
     if magic != CACHE_MAGIC:
         raise CacheError("bad magic")
@@ -202,11 +193,11 @@ def _load_table(path: Path, limit: int) -> PrimeTable:
     if stored_limit != limit:
         raise CacheError(f"cached limit {stored_limit} != requested {limit}")
     expected = head + 2 * ((limit + 1) // 2)
-    if size != expected:
-        raise CacheError(f"payload size {size} != expected {expected}")
-    if zlib.crc32(memoryview(raw)[head:]) != crc:
+    if len(raw) != expected:
+        raise CacheError(f"payload size {len(raw)} != expected {expected}")
+    spf = raw[head:].view("<u2")
+    if zlib.crc32(spf) != crc:
         raise CacheError("payload checksum mismatch")
-    spf = np.frombuffer(raw, dtype="<u2", offset=head)  # a view, not a copy: never written to
     if spf[:5].tolist() != [1, 0, 0, 0, 3][: len(spf)]:  # n = 1, 3, 5, 7, 9
         raise CacheError("payload fails sanity check")
     return PrimeTable(limit=limit, odd_spf=spf)

@@ -320,6 +320,10 @@ def test_lemma2_bad_value_is_an_error_line(capsys, tmp_path, bad):
     code, _, err = run(capsys, "lemma2", "--file", str(vals), "--X", "5")
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    if bad == str(2**63):
+        assert "[1, 2**63)" in err
+    else:
+        assert f"{vals}:2: not an integer: {bad!r}" in err
 
 
 def test_lemma2_takes_no_cache_dir(capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Prime engine tests, checked against independent naive oracles."""
 
-import mmap
 import struct
 import zlib
 from itertools import count
@@ -478,6 +477,9 @@ def _wrong_first_slots(raw):  # n = 9 read as prime, under a valid header and cr
     "reason, corrupt",
     [
         ("truncated header", lambda raw: raw[:23]),
+        ("bad magic", lambda raw: b"NOTASIEV" + raw[8:]),
+        ("payload size 327 != expected 326", lambda raw: raw + b"\x00"),
+        ("payload size 325 != expected 326", lambda raw: raw[:-1]),
         ("cached limit 303 != requested 301", lambda raw: raw[:12] + (303).to_bytes(8, "little") + raw[20:]),
         ("payload fails sanity check", _wrong_first_slots),
     ],
@@ -563,16 +565,15 @@ def test_cache_format_3_is_rebuilt(tmp_path, caplog):
     assert np.array_equal(build_prime_table(301, cache_dir=tmp_path).odd_spf, table.odd_spf)
 
 
-def test_warm_table_below_128_kib_is_its_own_mapping(tmp_path, caplog):
-    # a heap buffer under malloc's mmap threshold would sit among later temporaries
-    build_prime_table(120001, cache_dir=tmp_path)
+def test_warm_table_is_a_writable_u16_array_as_built(tmp_path, caplog):
+    built = build_prime_table(120001, cache_dir=tmp_path)
     with caplog.at_level("INFO", logger="wdyn.primes"):
         warm = build_prime_table(120001, cache_dir=tmp_path)
     assert "loaded prime table" in caplog.text
-    assert warm.odd_spf.nbytes < 128 * 1024
-    base = warm.odd_spf.base
-    assert isinstance(getattr(base, "obj", base), mmap.mmap)
-    assert np.array_equal(warm.odd_spf, build_prime_table(120001).odd_spf)
+    assert np.array_equal(warm.odd_spf, built.odd_spf)
+    for table in (built, warm):
+        assert table.odd_spf.dtype == np.uint16 and table.odd_spf.shape == (60001,)
+        assert table.odd_spf.flags.writeable
 
 
 def test_save_load_helpers_roundtrip(tmp_path):
