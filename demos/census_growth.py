@@ -12,8 +12,10 @@ Three censuses tally w-images over parents drawn from (x, 2x]:
 
 The argmax column is the image with the most parents.  The ratio
 divides its count by the predicted growth shape (x/log^4 x for the
-triple censuses, sqrt(x)/log^2 x for pairs); a roughly flat ratio
-means the record counts grow at the predicted rate.
+triple censuses, sqrt(x)/log^2 x for pairs).  The theorems are lower
+bounds with unspecified constants, so the ratio need not stay flat: it
+rises for thm1 and falls slowly for thm3 as x grows, and only a ratio
+sinking towards 0 would contradict a bound.
 """
 
 import time

@@ -15,8 +15,11 @@ Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
 both drop the powers of 2 by bit operations; odd pieces up to the limit
 walk the spf chain, pieces past it go to Miller–Rabin on only as many
-bases as their size needs (the ψ_k table), then to trial division by
-those bases and to Brent's rho.  :func:`largest_prime_factors` derives
+bases as their size needs (the ψ_k table).  A composite one sheds every
+odd prime below 2**16 that divides it, all found by one multiply-compare
+against their inverses mod 2**64; a cofactor below 2**32 is then prime,
+and only a composite piece with no factor below 2**16 reaches Brent's
+rho.  :func:`largest_prime_factors` derives
 the P array over ``[0, n]``, ``n <= limit``, for the censuses and the
 parent searches.
 """
@@ -59,6 +62,7 @@ _MR_PSI = (
 )
 _MR_BASES_PROD = prod(MR_BASES)
 _RHO_BATCH = 128  # Brent's rho steps whose |x - y| share one gcd
+_SMALL = 1 << 16  # a composite piece past the table sheds its primes below this before rho
 
 _SEGMENT = 1 << 18  # odd slots sieved or scanned at a time: 512 KB of uint16, within an L2
 # P arrays shorter than this are copies of one array computed once: the parent
@@ -315,6 +319,34 @@ def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     return _p_array(table.odd_spf, n, head)
 
 
+@cache
+def _small_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The odd primes p < ``_SMALL`` as uint64, their inverses mod 2**64
+    and floor((2**64 - 1) / p), all read-only.  p divides an m < 2**64
+    exactly when m * inv(p) mod 2**64 <= floor((2**64 - 1) / p)
+    (Granlund & Montgomery 1994, section 9).  The inverse takes five
+    Newton steps inv <- inv * (2 - p * inv) from inv = p, correct mod 2**3,
+    each doubling the bits that are right."""
+    p = (2 * np.flatnonzero(_spf_sieve(_SMALL - 1) == 0) + 1).astype(np.uint64)  # slot 0, n = 1, holds 1
+    inv = p.copy()
+    for _ in range(5):  # array arithmetic wraps mod 2**64 without a warning
+        inv *= np.uint64(2) - p * inv
+    lim = np.uint64(2**64 - 1) // p
+    for a in (p, inv, lim):
+        a.flags.writeable = False
+    return p, inv, lim
+
+
+def _small_factors(m: int) -> list[int]:
+    """The odd primes p < ``_SMALL`` that divide m >= 1, ascending: one
+    multiply and compare over all of them for m < 2**64 (the scalar times
+    the array wraps silently), and ``%`` on each for a larger m."""
+    p, inv, lim = _small_primes()
+    if m < 2**64:
+        return p[np.uint64(m) * inv <= lim].tolist()
+    return [q for q in p.tolist() if m % q == 0]
+
+
 def _miller_rabin(n: int) -> bool:
     """Primality of 2 <= n < MR_BOUND: Miller–Rabin on the first k of
     MR_BASES, k the least with psi_k > n (``_MR_PSI``), after one gcd
@@ -373,9 +405,12 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending; exact for
     2 <= n < MR_BOUND.  The powers of 2 go by bit operations, so every
     piece is odd.  A piece up to ``table.limit`` walks the spf chain; a
-    piece past it is certified prime by Miller–Rabin, or split by the
-    least of MR_BASES dividing it, or else by Brent's rho, and both parts
-    are factored in turn.
+    piece past it is certified prime by Miller–Rabin, or else sheds every
+    prime below 2**16 that divides it, with multiplicity
+    (:func:`_small_factors`).  What is left has only prime factors above
+    2**16: below 2**32 (< 65537**2) it is prime, and past that it is
+    factored in turn.  A composite piece with no factor below 2**16 is
+    split by Brent's rho, and both parts are factored in turn.
     """
     _check_reach(n)
     spf, limit = table.odd_spf, table.limit
@@ -394,8 +429,17 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
                 out.append(m)
         elif _miller_rabin(m):
             out.append(m)
-        else:  # composite, and not itself a base: a base that divides it is a proper divisor
-            d = next((p for p in MR_BASES if m % p == 0), None) or _rho(m)
+        elif small := _small_factors(m):
+            for p in small:
+                while m % p == 0:
+                    out.append(p)
+                    m //= p
+            if m >= _SMALL**2:
+                pieces.append(m)
+            elif m > 1:
+                out.append(m)
+        else:
+            d = _rho(m)
             pieces += (d, m // d)
     out.sort()
     return out

@@ -252,6 +252,13 @@ PAST_TABLE_FACTORS = [
     [11, 13],
     [10007, 1000003],
     [998244353, 1000000007],
+    # each side of the 2**32 rule once 3 or 65521 is shed: a prime cofactor
+    # 65537 or 4294967291 below 2**32, a composite 65537**2 or 65537 * 65539
+    # past it
+    [3, 65537],
+    [65521, 4294967291],
+    [3, 65537, 65537],
+    [3, 65537, 65539],
 ]
 
 
@@ -340,11 +347,12 @@ def test_largest_prime_factor_on_each_path(table_10k, small, shift, big):
 
 
 def test_factor_list_splits_base_factors_without_rho(monkeypatch):
-    # each piece past a limit-10 table with a factor among MR_BASES is split by
-    # that base; 10007**2 has none and goes to rho.  A split by the gcd with
-    # prod(MR_BASES) would return the piece itself for prod(MR_BASES) and loop:
-    # the three inputs make 20, 7 and 10 Miller–Rabin calls, and a budget on
-    # those calls makes such a loop fail instead of hang
+    # a piece past a limit-10 table sheds its primes below 2**16 by the
+    # multiply-compare; 65537**2, the least prime square with no factor
+    # below 2**16, is left and goes to rho.  A piece with no small factor
+    # that went back on the pieces instead of to rho would loop: the three
+    # inputs make 1, 1 and 4 Miller–Rabin calls, and a budget on those
+    # calls makes such a loop fail instead of hang
     table, rho_calls, rho, mr = build_prime_table(10), [], primes._rho, primes._miller_rabin
     mr_calls = count(1)
 
@@ -355,9 +363,33 @@ def test_factor_list_splits_base_factors_without_rho(monkeypatch):
 
     monkeypatch.setattr(primes, "_miller_rabin", bounded_mr)
     monkeypatch.setattr(primes, "_rho", lambda m: rho_calls.append(m) or rho(m))
-    for n in (prod(MR_BASES), 41**3 * 37, 2**5 * 3**7 * 10007**2):
+    for n in (prod(MR_BASES), 41**3 * 37, 2**5 * 3**7 * 65537**2):
         assert factor_list(table, n) == naive_factor(n), n
-    assert rho_calls == [10007**2]
+    assert rho_calls == [65537**2]
+
+
+SMALL_PRIMES = naive_sieve(2**16)[1:]  # the odd primes below 2**16
+
+
+def test_small_primes_inverses_and_limits():
+    p, inv, lim = primes._small_primes()
+    assert p.tolist() == SMALL_PRIMES
+    assert (len(p), SMALL_PRIMES[0], SMALL_PRIMES[-1]) == (6541, 3, 65521)
+    assert all(q * i % 2**64 == 1 for q, i in zip(p.tolist(), inv.tolist()))
+    assert lim.tolist() == [(2**64 - 1) // q for q in SMALL_PRIMES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 2**64 - 1), st.integers(2**64, MR_BOUND - 1)))
+def test_small_factors_match_remainders(m):
+    assert primes._small_factors(m) == [p for p in SMALL_PRIMES if m % p == 0]
+
+
+def test_factor_list_on_a_limit_2_table_exhaustive():
+    # every odd part past this table is a piece: one lost small prime
+    # (3, say, so that 45 gives [5, 9]) shows here
+    table = build_prime_table(2)
+    assert all(factor_list(table, n) == naive_factor(n) for n in range(2, 20001))
 
 
 def test_factor_list_refuses_mr_bound():
