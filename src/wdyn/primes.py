@@ -15,11 +15,11 @@ Supported universe: :func:`factor_list` and :func:`largest_prime_factor`
 are exact for every n below ``MR_BOUND`` (about 3.3e24) on any table:
 both drop the powers of 2 by bit operations; odd pieces up to the limit
 walk the spf chain, pieces past it go to Miller–Rabin on only as many
-bases as their size needs (the ψ_k table).  A composite one sheds every
-odd prime below 2**16 that divides it, all found by one multiply-compare
-against their inverses mod 2**64; a cofactor below 2**32 is then prime,
-and only a composite piece with no factor below 2**16 reaches Brent's
-rho.  :func:`largest_prime_factors` derives
+bases as their size needs (the ψ_k table).  A composite one below 2**64
+sheds every odd prime below 2**16 that divides it, all found by one
+multiply-compare against their inverses mod 2**64; a cofactor below
+2**32 is then prime.  Brent's rho splits a composite piece past 2**64
+or with no factor below 2**16.  :func:`largest_prime_factors` derives
 the P array over ``[0, n]``, ``n <= limit``, for the censuses and the
 parent searches.
 """
@@ -338,13 +338,11 @@ def _small_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _small_factors(m: int) -> list[int]:
-    """The odd primes p < ``_SMALL`` that divide m >= 1, ascending: one
-    multiply and compare over all of them for m < 2**64 (the scalar times
-    the array wraps silently), and ``%`` on each for a larger m."""
+    """The odd primes p < ``_SMALL`` that divide 1 <= m < 2**64, ascending:
+    one multiply and compare over all of them (the scalar times the array
+    wraps silently)."""
     p, inv, lim = _small_primes()
-    if m < 2**64:
-        return p[np.uint64(m) * inv <= lim].tolist()
-    return [q for q in p.tolist() if m % q == 0]
+    return p[np.uint64(m) * inv <= lim].tolist()
 
 
 def _miller_rabin(n: int) -> bool:
@@ -405,12 +403,13 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending; exact for
     2 <= n < MR_BOUND.  The powers of 2 go by bit operations, so every
     piece is odd.  A piece up to ``table.limit`` walks the spf chain; a
-    piece past it is certified prime by Miller–Rabin, or else sheds every
-    prime below 2**16 that divides it, with multiplicity
-    (:func:`_small_factors`).  What is left has only prime factors above
-    2**16: below 2**32 (< 65537**2) it is prime, and past that it is
-    factored in turn.  A composite piece with no factor below 2**16 is
-    split by Brent's rho, and both parts are factored in turn.
+    piece past it is certified prime by Miller–Rabin, or else, below
+    2**64, sheds every prime below 2**16 that divides it, with
+    multiplicity (:func:`_small_factors`).  What is left has only prime
+    factors above 2**16: below 2**32 (< 65537**2) it is prime, and past
+    that it is factored in turn.  A composite piece with no factor below
+    2**16, or past 2**64, is split by Brent's rho, and both parts are
+    factored in turn.
     """
     _check_reach(n)
     spf, limit = table.odd_spf, table.limit
@@ -429,7 +428,7 @@ def factor_list(table: PrimeTable, n: int) -> list[int]:
                 out.append(m)
         elif _miller_rabin(m):
             out.append(m)
-        elif small := _small_factors(m):
+        elif m < 2**64 and (small := _small_factors(m)):
             for p in small:
                 while m % p == 0:
                     out.append(p)
