@@ -27,8 +27,8 @@ logger = logging.getLogger(__name__)
 
 # default x caps of the censuses: thm1 memory grows with its parent count (146 MB at 10**4,
 # 0.72 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 2.4-2.6 s
-# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.7-0.9 s and a 379 MB process
-# peak at 3*10**5 (293 MB with glibc's mmap threshold fixed at 128 KiB: the rest is malloc's, not live)
+# and 450 MB at 3*10**5; thm3 memory grows with its image count, 0.6-0.9 s and a 308 MB (294 MiB)
+# process peak at 3*10**5, measured in process on a 2-core Xeon
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError
 from .primes import PrimeTable, factor_list, largest_prime_factor
@@ -32,9 +33,9 @@ class TripleClass(enum.Enum):
     D3 = "d3"  # prime cube
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    """Canonical (sorted) product of three primes."""
+class Triple(NamedTuple):
+    """Canonical (sorted) product of three primes.  It equals, hashes and
+    sorts as the tuple (p1, p2, p3) of its primes."""
 
     p1: int
     p2: int
@@ -42,8 +43,7 @@ class Triple:
 
     @staticmethod
     def from_primes(a: int, b: int, c: int) -> "Triple":
-        p1, p2, p3 = sorted((a, b, c))
-        return Triple(p1, p2, p3)
+        return Triple._make(sorted((a, b, c)))
 
     @property
     def primes(self) -> tuple[int, int, int]:
@@ -63,7 +63,7 @@ class Triple:
 
     @property
     def in_a3(self) -> bool:
-        return self.cls in (TripleClass.C3, TripleClass.B3)
+        return self.p1 != self.p3  # sorted, so only a cube has p1 == p3
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def classify(table: PrimeTable, n: int) -> Triple | None:
     factors = factor_list(table, n)
     if len(factors) != 3:
         return None
-    return Triple(factors[0], factors[1], factors[2])
+    return Triple._make(factors)
 
 
 def apply_w(table: PrimeTable, t: Triple) -> Triple:
@@ -111,10 +111,10 @@ def apply_w(table: PrimeTable, t: Triple) -> Triple:
     """
     if not isinstance(t, Triple) or not t.in_a3:
         raise ValueError(f"w is defined on A3 (C3 or B3) only, got {t!r}")
-    q1 = largest_prime_factor(table, t.p1 + t.p2)
-    q2 = largest_prime_factor(table, t.p1 + t.p3)
-    q3 = largest_prime_factor(table, t.p2 + t.p3)
-    return Triple.from_primes(q1, q2, q3)
+    a, b, c = t
+    return Triple.from_primes(
+        largest_prime_factor(table, a + b), largest_prime_factor(table, a + c), largest_prime_factor(table, b + c)
+    )
 
 
 def trajectory(
@@ -127,7 +127,8 @@ def trajectory(
 
     ``steps[0]`` is n itself (the zeroth iterate).  Any table serves:
     factoring reaches past its limit (see :func:`factor_list`), so
-    ``auto_extend`` has no effect and is kept only for old callers.
+    ``auto_extend`` has no effect and is kept only for
+    ``perfbench/make_refs.py``, which still passes it.
     n, or a sum along the orbit, at or above ``MR_BOUND`` raises
     CoverageError.
     """
@@ -137,16 +138,11 @@ def trajectory(
     if t is None or not t.in_a3:
         raise ValueError(f"{n} is not in A3 (needs exactly 3 prime factors, not a cube)")
 
-    # w maps A3 into A3, so only the start needs apply_w's check; each step
-    # works on the sorted primes, and 20 is the triple (2, 2, 5)
     steps = [t]
-    a, b, c = t.primes
-    while (a, b, c) != (2, 2, 5) and len(steps) <= cap:
-        a, b, c = sorted(
-            (largest_prime_factor(table, a + b), largest_prime_factor(table, a + c), largest_prime_factor(table, b + c))
-        )
-        steps.append(Triple(a, b, c))
-    index = len(steps) - 1 if (a, b, c) == (2, 2, 5) else None
+    while t != (2, 2, 5) and len(steps) <= cap:  # 20 is the triple (2, 2, 5)
+        t = apply_w(table, t)
+        steps.append(t)
+    index = len(steps) - 1 if t == (2, 2, 5) else None
     return Trajectory(steps=tuple(steps), index=index, cap=cap)
 
 

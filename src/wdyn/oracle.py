@@ -50,7 +50,7 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     C(pi, 3) combinations.
     """
     lpf = lpf_array(table, 4 * x)
-    want = sorted(target.primes)
+    want = sorted(target)
     out = []
     for a, b, c in combinations(primes_in_range(table, x, 2 * x).tolist(), 3):
         images = sorted((lpf[a + b], lpf[a + c], lpf[b + c]))

@@ -105,16 +105,16 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     ps = primes_in_range(table, x, 2 * x)  # first, so a short table asks for 2x
-    lpf = largest_prime_factors(table, 4 * x // min(target.primes))
+    lpf = largest_prime_factors(table, 4 * x // min(target))
     sums, lo, lens = {}, {}, {}  # a target prime above 4x has no sums
-    for r in dict.fromkeys(target.primes):
+    for r in dict.fromkeys(target):
         s = np.arange(2 * x // r * r + r, 4 * x + 1, r)
         sums[r] = s = s[(lpf[s // r] <= r) & (s % 2 == 0)]  # two odd primes have an even sum
         # a in [s - 2x, s / 2) keeps b = s - a in the box and a < b
         lo[r] = np.searchsorted(ps, s - 2 * x)
         lens[r] = np.searchsorted(ps, s // 2) - lo[r]
     base = min(sums, key=lambda r: lens[r].sum())  # the fewest candidate pairs
-    rest = list(target.primes)
+    rest = list(target)
     rest.remove(base)
     m2, m3 = min(rest, rest[::-1], key=lambda m: len(sums[m[0]]) / m[1])  # the fewest c per pair
     s2 = sums[m2][np.argsort(sums[m2] % m3)]  # the m2-sums by residue mod m3
@@ -141,7 +141,7 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     triples = triples[np.lexsort(triples.T[::-1])]  # rows in order, first column first
     fresh = np.ones(len(triples), dtype=bool)
     fresh[1:] = (triples[1:] != triples[:-1]).any(axis=1)
-    return [Triple(*t) for t in triples[fresh].tolist()]
+    return list(map(Triple._make, triples[fresh].tolist()))
 
 
 @dataclass(eq=False)
@@ -403,7 +403,7 @@ def find_parents(table: PrimeTable, query: ParentQuery) -> list[Triple]:
     if query.parent_class in ("c3", "any"):
         out.extend(find_c3_parents(table, query.target, query.x))
     if query.parent_class in ("b3", "any") and query.target.cls == TripleClass.B3:
-        a, b, c = query.target.primes
+        a, b, c = query.target
         q, r = (c, a) if a == b else (a, b)  # q appears once, r twice
         if query.x < q <= 2 * query.x:
             out.extend(Triple.from_primes(p, q, q) for p in find_b3_parents(table, q, r, query.x))

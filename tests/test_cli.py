@@ -147,6 +147,39 @@ def test_parents_b3_target(capsys):
     assert "101*103*103" in out
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["1547", "--x", "100", "--list"],
+            "target 1547 = 7*13*17 (c3)\n"
+            "any-parents in (100, 200]: count=10\n"
+            "  101*103*107 = 1113121 (c3)\n"
+            "  103*107*131 = 1443751 (c3)\n"
+            "  103*149*157 = 2409479 (c3)\n"
+            "  107*179*199 = 3811447 (c3)\n"
+            "  113*167*173 = 3264683 (c3)\n"
+            "  113*193*199 = 4339991 (c3)\n"
+            "  137*149*157 = 3204841 (c3)\n"
+            "  139*167*197 = 4572961 (c3)\n"
+            "  157*181*193 = 5484481 (c3)\n"
+            "  181*193*197 = 6881801 (c3)\n",
+        ),
+        (
+            ["29767", "--x", "100", "--class", "b3", "--list"],
+            "target 29767 = 17*17*103 (b3)\n"
+            "b3-parents in (100, 200]: count=1\n"
+            "  101*103*103 = 1071509 (b3)\n",
+        ),
+    ],
+)
+def test_parents_listing_is_pinned(capsys, argv, want):
+    # the whole listing: its order (by p1, p2, p3), its format and each parent's n and class
+    code, out, _ = run(capsys, "parents", *argv)
+    assert code == 0
+    assert out == want
+
+
 def test_parents_b3_needs_q_in_the_box(capsys):
     # 507 = 3*13*13: the parents p*3*3 have p in (100, 200] but 3 outside it
     code, out, _ = run(capsys, "parents", "507", "--x", "100", "--class", "b3", "--list")

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from wdyn import (
     CapExceededError,
+    ParentQuery,
     Triple,
     TripleClass,
     apply_w,
     build_prime_table,
     classify,
+    find_c3_parents,
+    find_parents,
     ind,
     primes_in_range,
     trajectory,
@@ -171,3 +174,31 @@ def test_triple_canonical_order_and_repr():
     assert t.n == 98
     assert t.cls is TripleClass.B3
     assert repr(t) == "Triple(p1=2, p2=7, p3=7)"  # how error messages name a triple
+
+
+def test_triple_is_the_tuple_of_its_primes():
+    assert hash(Triple(2, 7, 7)) == hash((2, 7, 7))
+    assert Triple(2, 7, 7) == (2, 7, 7)
+    triples = [Triple(3, 5, 5), Triple(2, 7, 7), Triple(2, 2, 5), Triple(3, 3, 7), Triple(2, 7, 11)]
+    assert sorted(triples) == [Triple(2, 2, 5), Triple(2, 7, 7), Triple(2, 7, 11), Triple(3, 3, 7), Triple(3, 5, 5)]
+    assert sorted(triples) == sorted(t.primes for t in triples)
+    with pytest.raises(AttributeError):
+        Triple(2, 7, 7).p1 = 3
+
+
+def test_every_path_returns_a_triple(table_x300):
+    # == cannot tell a Triple from a plain tuple, and the CLI reads t.n and t.cls of each result
+    target = Triple(7, 7, 151)  # 7399 has C3 and B3 parents in (100, 200]
+    parents = find_parents(table_x300, ParentQuery(target, 100, "any"))
+    assert {t.cls for t in parents} == {TripleClass.C3, TripleClass.B3}
+    c3 = find_c3_parents(table_x300, apply_w(table_x300, Triple(101, 103, 107)), 100)
+    got = [
+        classify(table_x300, 30),
+        classify(table_x300, 101 * 103 * 107),  # factored past the table
+        apply_w(table_x300, Triple(2, 2, 5)),
+        *trajectory(table_x300, 1058).steps,
+        *c3,
+        *parents,
+    ]
+    assert len(c3) > 1
+    assert all(type(t) is Triple for t in got), [type(t) for t in got]
