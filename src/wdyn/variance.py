@@ -9,7 +9,9 @@ the bound x**2 / log(x).
 The classes mod r are sums of the classes mod m = r * (X // r), the
 largest multiple of r up to X, so the residue sum reads the sample once
 for each m in (X/2, X], X - X // 2 times, and folds the counts mod m
-for every r that m belongs to.
+for every r that m belongs to.  When X and every value lie below 2**31
+those passes divide an int32 copy of the sample, which is faster than
+int64 and exact, since each quotient q has q * m <= v.
 
 The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
@@ -25,7 +27,7 @@ the compensated sum of the correctly rounded num_r / r**2 beyond it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import fsum, log
 
@@ -127,7 +129,10 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
     largest multiple of r up to X, which lies in (X/2, X]: class a mod r
     is the sum of the classes b = a (mod r) mod m, the column sums of the
     counts mod m as rows of length r.  So the sample is read once per m,
-    X - X // 2 times, and each fold reads at most X counts.
+    X - X // 2 times, and each fold reads at most X counts.  If X and
+    the largest value are both below 2**31, every pass reads one int32
+    copy of the values, made once per call; the caller's sample keeps
+    its int64 array.
     """
     if x_bound < 2:
         raise ValueError(f"modulus cutoff must be >= 2, got {x_bound}")
@@ -135,11 +140,13 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
     moduli: dict[int, list[int]] = {}
     for r in range(1, x_bound + 1):
         moduli.setdefault(x_bound // r * r, []).append(r)
+    if x_bound < 2**31 and (z == 0 or sample.values[-1] < 2**31):  # int32 // m is exact and faster
+        sample = replace(sample, values=sample.values.astype(np.int32))
     total = 0
     for m, rs in moduli.items():
         counts_m = residue_counts(sample, m)
         for r in rs:
-            counts = counts_m.reshape(-1, r).sum(axis=0)
+            counts = counts_m if r == m else counts_m.reshape(-1, r).sum(axis=0)
             total += r * int(np.dot(counts, counts)) - z * z
     bound = float((sample.bound + x_bound * x_bound) * z)
     return VarianceReport(

@@ -156,6 +156,25 @@ def test_variance_reads_the_sample_once_per_modulus_above_half(monkeypatch, x_bo
     assert sorted(moduli) == list(range(x_bound // 2 + 1, x_bound + 1))
 
 
+@pytest.mark.parametrize("top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_variance_passes_run_in_int32_below_2_pow_31(monkeypatch, top, dtype):
+    # the residue passes read an int32 copy when every value fits, else the int64 values
+    vals = [top - 7 * k for k in range(40)] + [1, 2, 3 * 2**20 + 1]
+    sample = SequenceSample.from_values(vals)
+    dtypes = []
+
+    def recording(sample, r):
+        dtypes.append(sample.values.dtype)
+        return residue_counts(sample, r)
+
+    monkeypatch.setattr(variance, "residue_counts", recording)
+    report = residue_count_variance(sample, 12)
+    assert set(dtypes) == {np.dtype(dtype)}
+    assert report.lhs == oracle.residue_variance(vals, 12)
+    assert sample.values.dtype == np.int64  # the caller's sample is not narrowed
+    assert sample.values.tolist() == sorted(vals)
+
+
 @settings(max_examples=30, deadline=None)
 @given(samples, st.integers(min_value=2, max_value=14))
 def test_variance_monotone_in_modulus_cutoff(sample, x_bound):
