@@ -29,7 +29,8 @@ logger = logging.getLogger(__name__)
 # 0.72 GB at 2*10**4); thm2 memory grows with its pairs of box primes in one class, 1.8-2.4 s
 # and a 422-444 MiB process peak at 3*10**5 (eight runs, cold and warm cache); thm3 memory grows
 # with its image count, 0.6-0.9 s and a 308 MB (294 MiB) process peak at 3*10**5, measured in
-# process on a 2-core Xeon
+# process on a 2-core Xeon; a grid keeps one census alive unless it writes a CSV, so the caps
+# bound a grid's peak too
 CENSUS_X_CAP = {"thm1": 10_000, "thm2": 300_000, "thm3": 300_000}
 POINT_LIMIT = 1000  # table for point queries; factoring reaches far past it
 
@@ -68,11 +69,18 @@ def _census_csv(censuses: list) -> Iterator[str]:
             yield "".join(map(f"{c.x},{{}},{{}}\r\n".format, images, counts))
 
 
+def _report_format(args) -> str | None:
+    """json or csv, as --format says or else by the --output suffix; None without --output."""
+    if args.output:
+        return args.format or ("csv" if Path(args.output).suffix.lower() == ".csv" else "json")
+    return None
+
+
 def _write_report(args, json_payload: dict, csv_lines: Iterable[str], csv_header: list[str]) -> None:
-    if not args.output:
+    fmt = _report_format(args)
+    if fmt is None:
         return
     path = Path(args.output)
-    fmt = args.format or ("csv" if path.suffix.lower() == ".csv" else "json")
     if fmt == "json":
         path.write_text(json.dumps(json_payload, sort_keys=True, indent=2) + "\n")
     else:
@@ -118,6 +126,7 @@ def cmd_ind(args) -> int:
 
 def cmd_parents(args) -> int:
     n, x = args.target, args.x
+    # classified on the small table first, so a target outside A3 is refused before a 2x sieve
     target = classify(_build(POINT_LIMIT, args), n)
     if target is None or not target.in_a3:
         raise ValueError(f"target {n} is not in A3")
@@ -145,20 +154,21 @@ def cmd_census(args) -> int:
         )
     table = _build(2 * max(grid), args)  # the table lemma3 builds: censuses read it and P only up to 2x
     print(f"{'x':>8} {'target':>20} {'count':>7} {'bound':>16} {'ratio':>12}")
-    censuses = []
+    keep = _report_format(args) == "csv"  # only a CSV report needs the censuses' rows
+    results, censuses = [], []
     for x in grid:
         logger.info("census mode=%s x=%d ...", mode, x)
-        if mode == "thm3":
-            census = census_b3(table, x)
-        else:
-            census = census_c3(table, x, mode=mode)
-        censuses.append(census)
+        census = census_b3(table, x) if mode == "thm3" else census_c3(table, x, mode=mode)
+        results.append(census.to_json_dict())
+        if keep:
+            censuses.append(census)
         target, count = census.argmax
         print(
             f"{x:>8} {target:>20} {count:>7} {census.bound_value:>16.6f} "
             f"{census.ratio:>12.6f}"
         )
-    payload = {"mode": mode, "results": [c.to_json_dict() for c in censuses]}
+        del census  # else it lives on while the next census is computed
+    payload = {"mode": mode, "results": results}
     # a generator: the rows are formatted only if a CSV is written
     _write_report(args, payload, _census_csv(censuses), ["x", "target", "count"])
     return 0

@@ -100,7 +100,7 @@ def find_c3_parents(table: PrimeTable, target: Triple, x: int) -> list[Triple]:
     makes u + c an m2-sum congruent to u - v mod m3.
     Output is sorted and duplicate-free.
     """
-    if target.cls not in (TripleClass.C3, TripleClass.B3):
+    if not target.in_a3:
         raise ValueError(f"target must be in A3, got {target!r}")
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -385,7 +385,7 @@ class ParentQuery:
     def __post_init__(self):
         if self.x < 2:
             raise ValueError(f"x must be >= 2, got {self.x}")
-        if self.target.cls not in (TripleClass.C3, TripleClass.B3):
+        if not self.target.in_a3:
             raise ValueError(f"target must be in A3, got {self.target!r}")
         if self.parent_class not in ("c3", "b3", "any"):
             raise ValueError(f"parent_class must be c3, b3 or any, got {self.parent_class!r}")

@@ -266,19 +266,18 @@ def largest_prime_factor(table: PrimeTable, n: int) -> int:
     return m
 
 
-def _p_array(odd_spf: np.ndarray, n: int, head: np.ndarray) -> np.ndarray:
-    """int64 P(k) for k in [0, n] from the odd slots over [0, n], past
-    ``head``, the P array over [0, len(head)).  The odd k come first, in
-    uint32 over their slots: P(k) = k for a prime and max(spf(k),
+def _p_array(odd_spf: np.ndarray, n: int) -> np.ndarray:
+    """int64 P(k) for k in [0, n], n >= 2, from the odd slots over [0, n].
+    The odd k come first, in uint32 over their slots from slot 1 (slot 0,
+    k = 1, holds the sentinel 1): P(k) = k for a prime and max(spf(k),
     P(k / spf(k))) for a composite, whose odd cofactor sits in slot
     slot(k) // spf(k) <= slot(k) / 3, so blocks of slots [lo, 3 lo + 1) read
-    only slots already done.  Then each even k = 2j takes P(j), in blocks
-    of j [lo, 2 lo)."""
+    only slots already done.  Then, after P(0) = 0 and P(2) = 2, each even
+    k = 2j takes P(j), in blocks of j [lo, 2 lo)."""
     spf = odd_spf[: (n + 1) // 2]
     slot = np.arange(len(spf), dtype=np.uint32)  # 2 * slot + 1 <= n < 2**32, as the limit is
     odd = np.where(spf == 0, 2 * slot + 1, spf)  # spf(k), and k itself for a prime
-    lo = len(head) // 2  # the odd k in the head
-    odd[:lo] = head[1::2]
+    lo = 1
     while lo < len(odd):
         hi = min(3 * lo + 1, len(odd))
         block = odd[lo:hi]
@@ -286,8 +285,8 @@ def _p_array(odd_spf: np.ndarray, n: int, head: np.ndarray) -> np.ndarray:
         lo = hi
     lpf = np.empty(n + 1, dtype=np.int64)
     lpf[1::2] = odd
-    lpf[: len(head) : 2] = head[::2]
-    lo = (len(head) + 1) // 2  # the even k in the head
+    lpf[0], lpf[2] = 0, 2
+    lo = 2
     while lo <= n // 2:
         hi = min(2 * lo, n // 2 + 1)
         lpf[2 * lo : 2 * hi : 2] = lpf[lo:hi]
@@ -297,9 +296,9 @@ def _p_array(odd_spf: np.ndarray, n: int, head: np.ndarray) -> np.ndarray:
 
 @cache
 def _p_head() -> np.ndarray:
-    """P(k) for k < ``_P_HEAD``, sentinels 0 and 1 at k = 0, 1, grown from
-    [0, 1, 2].  Read-only; a short P array is a copy of its start."""
-    head = _p_array(_spf_sieve(_P_HEAD - 1), _P_HEAD - 1, np.arange(3))
+    """P(k) for k < ``_P_HEAD``, sentinels 0 and 1 at k = 0, 1.  Read-only;
+    a short P array is a copy of its start."""
+    head = _p_array(_spf_sieve(_P_HEAD - 1), _P_HEAD - 1)
     head.flags.writeable = False
     return head
 
@@ -307,16 +306,15 @@ def _p_head() -> np.ndarray:
 def largest_prime_factors(table: PrimeTable, n: int) -> np.ndarray:
     """int64 array of P(k) for k in [0, n] (entries 0 and 1 are sentinels).
 
-    Below ``_P_HEAD`` a copy of :func:`_p_head`, past it grown from that head.
+    Below ``_P_HEAD`` a copy of :func:`_p_head`, past it built by :func:`_p_array`.
     """
     if n < 0:
         raise ValueError(f"P array needs n >= 0, got {n}")
     if n > table.limit:
         raise CoverageError(f"P array to {n} exceeds table limit {table.limit}; rebuild with limit >= {n}")
-    head = _p_head()
     if n < _P_HEAD:
-        return head[: n + 1].copy()
-    return _p_array(table.odd_spf, n, head)
+        return _p_head()[: n + 1].copy()
+    return _p_array(table.odd_spf, n)
 
 
 @cache

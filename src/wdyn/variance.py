@@ -80,7 +80,6 @@ class VarianceReport:
 
     scale: int
     lhs: Fraction | float
-    bound_form: str
     bound_value: float
     window: tuple[int, int] | None = None
 
@@ -101,8 +100,7 @@ class VarianceReport:
         return out
 
     def to_csv_row(self) -> tuple:
-        lhs = str(self.lhs) if isinstance(self.lhs, Fraction) else self.lhs
-        return (self.scale, lhs, self.bound_value, self.ratio)
+        return (self.scale, self.to_json_dict()["lhs"], self.bound_value, self.ratio)
 
 
 def residue_counts(sample: SequenceSample, r: int) -> np.ndarray:
@@ -149,9 +147,7 @@ def residue_count_variance(sample: SequenceSample, x_bound: int) -> VarianceRepo
             counts = counts_m if r == m else counts_m.reshape(-1, r).sum(axis=0)
             total += r * int(np.dot(counts, counts)) - z * z
     bound = float((sample.bound + x_bound * x_bound) * z)
-    return VarianceReport(
-        scale=x_bound, lhs=Fraction(total), bound_form="(N+X^2)Z", bound_value=bound
-    )
+    return VarianceReport(scale=x_bound, lhs=Fraction(total), bound_value=bound)
 
 
 def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
@@ -176,13 +172,7 @@ def prime_progression_variance(table: PrimeTable, x: int) -> VarianceReport:
     else:
         lhs = fsum(num / (r * r) for num, r in zip(nums, rs))  # int / int rounds correctly
     bound = x * x / log(x)
-    return VarianceReport(
-        scale=x,
-        lhs=lhs,
-        bound_form="x^2/log x",
-        bound_value=bound,
-        window=(r_lo, r_hi),
-    )
+    return VarianceReport(scale=x, lhs=lhs, bound_value=bound, window=(r_lo, r_hi))
 
 
 def _progression_numerators(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> list[int]:

@@ -1,9 +1,11 @@
 """Command-line harness: outputs, exit codes, config precedence,
 report files."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,21 @@ def test_parents_rejects_non_a3_target(capsys):
     assert "not in A3" in err
 
 
+def test_parents_refuses_a_non_a3_target_before_the_2x_table(capsys, monkeypatch):
+    # the target is classified on the 1000 table, so x = 10**9 never asks for a 2*10**9 sieve
+    build = cli._build
+
+    def small_only(limit, args):
+        if limit > 1000:
+            raise AssertionError(f"table of limit {limit} requested")
+        return build(limit, args)
+
+    monkeypatch.setattr(cli, "_build", small_only)
+    code, _, err = run(capsys, "parents", "16", "--x", "1000000000")
+    assert code == 1
+    assert "not in A3" in err
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -282,6 +299,27 @@ def test_census_without_csv_output_builds_no_csv_rows(capsys, monkeypatch, tmp_p
     assert out.strip()
     code, _, _ = run(capsys, "census", "--mode", "thm3", "--x-grid", "100", "--output", str(tmp_path / "r.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize("output", [None, "r.json"])
+def test_census_grid_holds_one_census_at_a_time(capsys, monkeypatch, tmp_path, output):
+    # without a CSV report, census k is freed before census k + 1 is computed
+    alive = []
+    census_b3 = cli.census_b3
+
+    def recording_census(table, x):
+        gc.collect()
+        assert all(ref() is None for ref in alive), f"an earlier census is alive at x = {x}"
+        census = census_b3(table, x)
+        alive.append(weakref.ref(census))
+        return census
+
+    monkeypatch.setattr(cli, "census_b3", recording_census)
+    argv = ["census", "--mode", "thm3", "--x-grid", "100,200,300"]
+    code, out, _ = run(capsys, *argv, *(["--output", str(tmp_path / output)] if output else []))
+    assert code == 0
+    assert len(alive) == 3
+    assert len(out.splitlines()) == 4
 
 
 @pytest.mark.parametrize("mode", ["thm1", "thm2", "thm3"])
