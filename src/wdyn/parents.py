@@ -226,10 +226,11 @@ class ParentCensus:
 
 
 def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(r, d) for each odd r in rs, d[j] the int64 number of ``members`` (distinct
+    """(r, d) for each odd r in rs, d[j] the int32 number of ``members`` (distinct
     odd integers in (lo, hi]) with m = 2j + 1 (mod r), so class -m sits at r - 1 - j.
     Sums the rows of length r of the zero-padded 0/1 indicator of k = m >> 1 over
-    [lo // 2, (hi - 1) // 2] (2 is invertible mod r), 255 per uint8 reduction."""
+    [lo // 2, (hi - 1) // 2] (2 is invertible mod r), 255 per uint8 reduction.
+    int32 is exact: a count is at most the number of rows, below 2**31 for hi < 2**32."""
     if not (members & 1).all() or any(r % 2 == 0 for r in rs):
         raise ValueError("class counts take odd members and odd moduli")
     pad, klo, khi = max(rs, default=0), lo // 2, (hi - 1) // 2
@@ -238,7 +239,7 @@ def class_counts(members: np.ndarray, lo: int, hi: int, rs: list[int]) -> Iterat
     padded[(members >> 1) - base] = 1
     for r in rs:
         rows = padded[klo // r * r - base : -(-(khi + 1) // r) * r - base].reshape(-1, r)
-        counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int64)
+        counts = rows[:255].sum(axis=0, dtype=np.uint8).astype(np.int32)
         for k in range(255, len(rows), 255):  # a uint8 sum of <= 255 rows cannot wrap
             counts += rows[k : k + 255].sum(axis=0, dtype=np.uint8)
         yield r, counts
@@ -311,11 +312,12 @@ def _thm2(table: PrimeTable, x: int, ps: np.ndarray, rs: np.ndarray) -> Iterator
     box primes in one class b mod a window prime r, q = P(a + a'),
     in blocks of window primes of about ``_ROW_BLOCK`` (r, prime) cells."""
     lpf = largest_prime_factors(table, 2 * x)
+    k = (ps >> 1).astype(np.int32)  # k <= x and r, far below 2**31 by _census's guard: int32 % is exact and faster
     step = max(1, _ROW_BLOCK // len(ps))
     for i0 in range(0, len(rs), step):
         rb = rs[i0 : i0 + step, None]
         start = np.cumsum(rb)[:, None] - rb  # where r's classes start in the counts
-        j = (ps >> 1) % rb  # p = 2j + 1 mod r, so class -p sits at r - 1 - j, as in class_counts
+        j = k % rb.astype(np.int32)  # p = 2j + 1 mod r, so class -p sits at r - 1 - j, as in class_counts
         key = (start + j).ravel()
         c = np.bincount(key, minlength=rb.sum())
         opp = (start + rb - 1 - j).ravel()
@@ -335,8 +337,11 @@ def _thm3(table: PrimeTable, x: int, ps: np.ndarray, rs: np.ndarray) -> Iterator
     :func:`class_counts`; (q, r) fixes the image."""
     k = ps >> 1
     for r, d in class_counts(ps, x, 2 * x, rs.tolist()):
-        c = d[r - 1 - k % r] - (ps == r)  # p = q = r is in the class of -q but is not a partner
-        yield (ps[c > 0] * (r * r)) << 8 | c[c > 0]
+        # k % r without the slower int64 % (an int32 % is fast, but an int32 index is not);
+        # p = q = r is in the class of -q but is not a partner
+        c = d[::-1][k - k // r * r] - (ps == r)
+        ok = c > 0
+        yield (ps[ok] * (r * r)) << 8 | c[ok]
 
 
 def census_c3(table: PrimeTable, x: int, mode: str = "thm1") -> ParentCensus:

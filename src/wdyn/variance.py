@@ -16,8 +16,9 @@ int64 and exact, since each quotient q has q * m <= v.
 The mean Z/r is not an integer, but after clearing denominators every
 term is (see :func:`residue_count_variance`): the progression sum is
 sum over r of num_r / r**2 with an integer numerator num_r, combined in
-Python ints from two int64 sums over the class counts mod r that the
-thm3 census reads too (for x >= 75 the sum is that census's variance).
+Python ints from two fixed-width sums over the class counts mod r that
+the thm3 census reads too (for x >= 75 the sum is that census's
+variance); the sums run in int32 when the counts bound them below 2**31.
 Box and window primes are odd, so the counts index a member m by
 m >> 1; there negation mod r is a reversal, and both sums fold to half
 length.  The lhs is the exact rational sum for x <= EXACT_X_CUTOFF and
@@ -186,10 +187,12 @@ def _progression_numerators(members: np.ndarray, lo: int, hi: int, rs: list[int]
     :func:`~wdyn.parents.class_counts` hold class -b at the reversed index,
     so both sums fold at h = r // 2: with a = d[:h], b = d[:h:-1], m = d[h]
     and e = a * b, S1 = 2 * sum(e) + m**2 and S2 = e . (a + b) + m**3.
-    The int64 sums are exact while Z * max(c)**2 < 2**63; past that it
-    raises ValueError.  For window moduli that product grows like
-    x**2 / log(x)**5 (3.8e8 at x = 10**7), far below 2**63 on any table
-    below 2**32.
+    Every term is bounded by T = Z * max(c)**2: e <= max(c)**2, and
+    a_j + b_j <= Z, so (a + b) * e <= T, sum(e) <= Z * max(c) and
+    S2 <= T.  So the sums run in int32 when T < 2**31 and in int64 when
+    T < 2**63; past that it raises ValueError.  For window moduli T
+    grows like x**2 / log(x)**5 (3.8e8 at x = 10**7), so every r takes
+    int32 up to there.
     """
     z = len(members)
     nums = []
@@ -197,9 +200,13 @@ def _progression_numerators(members: np.ndarray, lo: int, hi: int, rs: list[int]
         top, h = int(d.max()), r // 2
         if z * top * top >= 2**63:
             raise ValueError(f"class counts mod {r} overflow int64: Z * max(c)**2 >= 2**63")
-        a, b, m = d[:h], d[:h:-1], int(d[h])
+        dt = np.int32 if z * top * top < 2**31 else np.int64
+        d = d.astype(dt, copy=False)
+        a, b, m = d[:h], d[:h:-1].copy(), int(d[h])  # a contiguous reversal: the products vectorize
         e = a * b
-        s1 = 2 * int(e.sum()) + m * m
-        s2 = int(np.dot(e, a + b)) + m**3
+        s1 = 2 * int(e.sum(dtype=dt)) + m * m
+        b += a
+        b *= e
+        s2 = int(b.sum(dtype=dt)) + m**3
         nums.append(r * r * s2 - 2 * r * z * s1 + z**3)
     return nums

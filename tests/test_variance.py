@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wdyn import (
     CoverageError,
     SequenceSample,
+    build_prime_table,
     census_b3,
     prime_progression_variance,
     primes_in_range,
@@ -268,6 +269,34 @@ def test_progression_numerators_chunked_uint8():
     assert nums == numerators_by_loop(list(range(3001, 9001, 2)), [3, 7])
 
 
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_progression_numerators_int32_boundary(n):
+    # 6i + 1 and 6i + 5 for i < n: n members in each of the classes 1 and 2 mod 3, so
+    # Z * max(c)**2 = 2n**3, which is 2141198334 < 2**31 at n = 1023 (the int32 fold) and
+    # exactly 2**31 at n = 1024, where the fold's last sum 2n**3 would wrap in int32
+    members = np.sort(np.concatenate([np.arange(1, 6 * n, 6), np.arange(5, 6 * n, 6)]))
+    assert len(members) * n * n == 2 * n**3
+    nums = _progression_numerators(members, 0, 6 * n, [3])
+    assert nums == numerators_by_loop(members.tolist(), [3])
+
+
+def test_progression_numerators_at_x_10_6():
+    # the benchmark's x: every num_r against the definition over np.bincount in int64
+    # (the largest num_r is about 8.9e13), and the lhs as it is printed
+    x = 10**6
+    table = build_prime_table(2 * x)
+    ps = primes_in_range(table, x, 2 * x)
+    rs = primes_in_range(table, *window_bounds(x)).tolist()
+    z = len(ps)
+    expected = []
+    for r in rs:
+        c = np.bincount(ps % r, minlength=r)
+        w = c[-np.arange(r) % r]
+        expected.append(int(np.sum(w * (r * c - z) ** 2)))
+    assert _progression_numerators(ps, x, 2 * x, rs) == expected
+    assert repr(prime_progression_variance(table, x).lhs) == "215430555.2370433"
+
+
 @pytest.mark.parametrize(
     "lo, hi, rs",
     [
@@ -287,7 +316,7 @@ def test_class_counts_odd_layout(lo, hi, rs):
         assert list(got) == rs
         for r, d in got.items():
             by_residue = Counter(m % r for m in members.tolist())
-            assert d.dtype == np.int64
+            assert d.dtype == np.int32
             assert d.tolist() == [by_residue[(2 * j + 1) % r] for j in range(r)]
             for m in members.tolist():
                 assert d[r - 1 - (m >> 1) % r] == by_residue[-m % r]
